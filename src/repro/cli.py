@@ -55,7 +55,7 @@ Every subcommand accepts ``--trace-out F`` (simulation-time trace; Chrome
 trace-event JSON by default, ``--trace-format jsonl`` for the event log),
 ``--metrics-out F`` (telemetry registry; JSON, or Prometheus text when
 ``F`` ends in ``.prom``/``.txt``), and ``--engine E`` (inventory kernel:
-``calendar``/``fast``/``reference``; overrides the
+``calendar``/``reference``; overrides the
 ``REPRO_INVENTORY_ENGINE`` environment variable).  See
 ``docs/observability.md``.
 """
@@ -698,42 +698,41 @@ def cmd_health(args: argparse.Namespace) -> int:
         scene=setup.scene,
         metrics=setup.metrics,
     )
-    store = CheckpointStore(
-        Path(tempfile.mkdtemp(prefix="repro-health-ckpt-")) / "health.ckpt"
-    )
-    supervisor = Supervisor(
-        lambda: setup.tagwatch(
-            TagwatchConfig(
-                phase2_duration_s=args.phase2,
-                min_phase1_fraction=0.5,
-                population_grace_cycles=2,
-            )
-        ),
-        config=SupervisorConfig(watchdog=WatchdogPolicy()),
-        store=store,
-        health=health,
-    )
-    mode = supervisor.start()
-    if mode == "cold" and args.warmup > 0:
-        assert supervisor.tagwatch is not None
-        supervisor.tagwatch.warm_up(args.warmup)
-    with use_tracer(recorder):
-        for i in range(args.cycles):
-            supervised = supervisor.run_cycle()
-            if args.watch:
-                verdicts = health.engine.verdicts()
-                worst = min(
-                    (v["compliance"] for v in verdicts.values()),
-                    default=1.0,
+    with tempfile.TemporaryDirectory(prefix="repro-health-ckpt-") as ckpt:
+        store = CheckpointStore(Path(ckpt) / "health.ckpt")
+        supervisor = Supervisor(
+            lambda: setup.tagwatch(
+                TagwatchConfig(
+                    phase2_duration_s=args.phase2,
+                    min_phase1_fraction=0.5,
+                    population_grace_cycles=2,
                 )
-                _log.info(
-                    f"cycle {supervised.index:>4}  "
-                    f"t={setup.reader.time_s:8.1f}s  "
-                    f"status={health.status:<8}  "
-                    f"worst-slo={worst:.4f}  "
-                    f"alerts={health.engine.n_alerts}  "
-                    f"incidents={len(health.incidents)}"
-                )
+            ),
+            config=SupervisorConfig(watchdog=WatchdogPolicy()),
+            store=store,
+            health=health,
+        )
+        mode = supervisor.start()
+        if mode == "cold" and args.warmup > 0:
+            assert supervisor.tagwatch is not None
+            supervisor.tagwatch.warm_up(args.warmup)
+        with use_tracer(recorder):
+            for i in range(args.cycles):
+                supervised = supervisor.run_cycle()
+                if args.watch:
+                    verdicts = health.engine.verdicts()
+                    worst = min(
+                        (v["compliance"] for v in verdicts.values()),
+                        default=1.0,
+                    )
+                    _log.info(
+                        f"cycle {supervised.index:>4}  "
+                        f"t={setup.reader.time_s:8.1f}s  "
+                        f"status={health.status:<8}  "
+                        f"worst-slo={worst:.4f}  "
+                        f"alerts={health.engine.n_alerts}  "
+                        f"incidents={len(health.incidents)}"
+                    )
     report = health.report()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -866,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine_parent = argparse.ArgumentParser(add_help=False)
     engine_parent.add_argument(
-        "--engine", choices=("calendar", "fast", "reference"), default=None,
+        "--engine", choices=("calendar", "reference"), default=None,
         help="inventory kernel; overrides the REPRO_INVENTORY_ENGINE "
         "environment variable (default: calendar)",
     )

@@ -2,33 +2,34 @@
 
 The event-calendar engine (``engine="calendar"``) settles whole rounds —
 frame draws, the Q-algorithm walk, dedup, cumulative time assignment — in
-one C call per round instead of Python-per-frame work.  The C source below
-is a line-for-line transliteration of the fused small-frame walk in
-:meth:`InventoryEngine._run_round_fast`, so for the strategies it supports
-(Q-adaptive and FixedQ, loss-free) the slot outcomes, read times and RNG
-lane consumption are bit-for-bit identical to both existing engines:
+one C call per round instead of Python-per-slot work.  The C source below
+is a transliteration of the sequential slot walk in
+:meth:`InventoryEngine._run_round_reference` specialised to Q-adaptive and
+FixedQ, so for those strategies the slot outcomes, read times and the
+generator state afterwards are bit-for-bit identical to the reference:
 
-- frame draws replay the same pre-fetched PCG64 32-bit lanes the fast
-  engine's buffered path consumes (``lane >> (32 - q)``; a frame of length
-  one consumes nothing);
+- draws come straight from numpy's bit generator through its C interface
+  (``bitgen_t``, obtained from ``Generator.bit_generator.ctypes``): each
+  frame lane is ``next_uint32() >> (32 - q)``, which is what
+  ``Generator.integers(0, 2**q, size)`` computes (Lemire's bounded draw is
+  rejection-free for power-of-two ranges), and a frame of length one draws
+  nothing, like ``integers(0, 1)``;
+- each singleton's link-loss draw is one ``next_double()``, exactly
+  ``Generator.random()``;
+- because the calls go through the generator's own functions, numpy's
+  internal state — including the 32-bit lane it buffers across calls — ends
+  up where the reference walk leaves it, for every numpy bit generator;
 - the Q-walk uses the same double arithmetic (``qfp ± c`` with [0, 15]
   clamps) and C ``rint`` — round-half-to-even, exactly Python's
   ``round(float)`` — for the QueryAdjust decision;
 - simulated time accrues through the same sequence of double additions, so
-  every read timestamp matches the sequential walk bit for bit;
-- with link loss on, the buffer holds raw 64-bit PCG64 *words* instead of
-  pre-split lanes: each singleton's loss draw consumes one whole word
-  (``(word >> 11) * 2^-53``, numpy's exact uint64→double conversion) while
-  frame draws split words into lanes low-half first, carrying an unused
-  high lane across frames in a spare register — the precise interleaving
-  :meth:`InventoryEngine._raw_frame_draw` and ``Generator.random`` produce.
+  every read timestamp matches the sequential walk bit for bit.
 
 The kernel is OPTIONAL.  It is compiled on first use with the system C
 compiler into a cache directory and loaded via :mod:`ctypes`; when no
 compiler is available (or ``REPRO_CALENDAR_CKERNEL=0``), the calendar
-engine silently falls back to the pure-Python fast path, which is always
-correct — only slower.  Nothing is downloaded and no third-party package
-is required.
+engine falls back to the reference walk, which is always correct — only
+slower.  Nothing is downloaded and no third-party package is required.
 """
 
 from __future__ import annotations
@@ -45,50 +46,38 @@ __all__ = ["load_kernel", "kernel_source_hash", "MAX_FRAME"]
 #: Largest Gen2 frame (Q = 15).  Scratch buffers are sized to this.
 MAX_FRAME = 1 << 15
 
-#: Return codes of ``repro_run_round``.
-OK = 0
-NEED_LANES = 1
-
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
 
+/* numpy's bitgen_t (numpy/random/bitgen.h). */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
 /* One inventory round, settled slot by slot.
  *
- * Mirrors the fused QAdaptive/FixedQ walk of the Python fast engine (and
- * therefore the sequential reference engine) exactly: same lane
- * consumption, same double arithmetic, same truncation checks.
+ * Mirrors the reference engine's sequential walk for QAdaptive/FixedQ
+ * exactly: same generator calls in the same order, same double
+ * arithmetic, same truncation checks.
  *
  * dpar: [t_start, deadline, t_empty, t_single, t_collision, t_adjust,
  *        t_query, c, p_loss]
  * ipar: [n, strat (0 = FixedQ, 1 = QAdaptive), q0, with_replacement,
- *        max_slots, spare_lane_in (-1 = none; word mode only)]
- * out_i: [pos_out | units_needed, n_empty, n_single, n_collision,
- *         n_duplicate, n_adjusts, n_frames, truncated, n_reads, n_slots,
- *         spare_lane_out (-1 = none), n_lost]
+ *        max_slots]
+ * out_i: [n_empty, n_single, n_collision, n_duplicate, n_adjusts,
+ *         n_frames, truncated, n_reads, n_slots, n_lost]
  * out_d: [t_end]
- *
- * Buffer interpretation depends on p_loss.  When p_loss == 0 the buffer
- * holds pre-split 32-bit lanes and positions count lanes (the historical
- * contract).  When p_loss > 0 it holds raw 64-bit PCG64 words and
- * positions count words: each singleton's link-loss draw consumes one
- * whole word — ``(word >> 11) * 2^-53 < p_loss``, numpy's exact
- * ``Generator.random()`` conversion — while frame draws split words into
- * 32-bit lanes low-half first, carrying an unused high lane across frames
- * in the spare register, exactly like ``_raw_frame_draw`` in Python.
- *
- * Returns 0 on success, 1 when the buffer ran out (out_i[0] then holds
- * the number of lanes/words needed from the entry position onward; the
- * caller refills and re-runs the whole round — no state was committed).
  */
-long repro_run_round(
+void repro_run_round(
     const double *dpar,
     const int64_t *ipar,
-    const uint32_t *lanes,
-    int64_t lane_len,
-    int64_t lane_pos,
+    bitgen_t *bitgen,
     uint8_t *seen,
-    int32_t *draws,
     int32_t *counts,
     int32_t *owner,
     int32_t *unseen,
@@ -111,17 +100,14 @@ long repro_run_round(
     const int with_replacement = (int)ipar[3];
     const int64_t max_slots = ipar[4];
     const int has_loss = p_loss > 0.0;
-    const uint64_t *words = (const uint64_t *)lanes;
-    const int64_t lane_start = lane_pos;
+    void *const bg_state = bitgen->state;
+    uint32_t (*const next_uint32)(void *) = bitgen->next_uint32;
+    double (*const next_double)(void *) = bitgen->next_double;
 
     double t = dpar[0];
     int q = (int)ipar[2];
     double qfp = (double)q;
     int64_t frame_length = (int64_t)1 << q;
-    /* Spare 32-bit lane carried across frame draws (word mode only);
-     * reset from ipar on every retry, so a NEED_LANES re-run replays the
-     * round from a clean slate. */
-    int64_t spare = ipar[5];
 
     int64_t n_empty = 0, n_single = 0, n_collision = 0;
     int64_t n_duplicate = 0, n_adjusts = 0, n_frames = 0;
@@ -129,8 +115,6 @@ long repro_run_round(
     int64_t n_lost = 0;
     int truncated = 0;
 
-    /* seen is kernel-owned scratch: clearing it here (rather than in
-     * Python) also resets any partial state from a NEED_LANES retry. */
     for (int64_t i = 0; i < n; i++) seen[i] = 0;
 
     while (n_seen < n) {
@@ -147,57 +131,13 @@ long repro_run_round(
         if (frame_length > 1) {
             const int shift = 32 - q;
             for (int64_t i = 0; i < frame_length; i++) counts[i] = 0;
-            if (!has_loss) {
-                if (lane_pos + size > lane_len) {
-                    /* Caller refills, retries the round from lane_start. */
-                    out_i[0] = (lane_pos - lane_start) + size;
-                    return 1;
-                }
-                for (int64_t i = 0; i < size; i++) {
-                    int32_t d = (int32_t)(lanes[lane_pos + i] >> shift);
-                    draws[i] = d;
-                    counts[d]++;
-                    owner[d] = (int32_t)i;
-                }
-                lane_pos += size;
-            } else {
-                const int64_t need = size - (spare >= 0 ? 1 : 0);
-                const int64_t n_words = (need + 1) >> 1;
-                if (lane_pos + n_words > lane_len) {
-                    out_i[0] = (lane_pos - lane_start) + n_words;
-                    return 1;
-                }
-                int64_t i = 0;
-                if (spare >= 0) {
-                    int32_t d = (int32_t)((uint32_t)spare >> shift);
-                    draws[i] = d;
-                    counts[d]++;
-                    owner[d] = (int32_t)i;
-                    i++;
-                    spare = -1;
-                }
-                while (i < size) {
-                    const uint64_t w = words[lane_pos++];
-                    const uint32_t lo = (uint32_t)w;
-                    const uint32_t hi = (uint32_t)(w >> 32);
-                    int32_t d = (int32_t)(lo >> shift);
-                    draws[i] = d;
-                    counts[d]++;
-                    owner[d] = (int32_t)i;
-                    i++;
-                    if (i < size) {
-                        d = (int32_t)(hi >> shift);
-                        draws[i] = d;
-                        counts[d]++;
-                        owner[d] = (int32_t)i;
-                        i++;
-                    } else {
-                        spare = (int64_t)hi;
-                    }
-                }
+            for (int64_t i = 0; i < size; i++) {
+                const int32_t d = (int32_t)(next_uint32(bg_state) >> shift);
+                counts[d]++;
+                owner[d] = (int32_t)i;
             }
         } else {
-            /* integers(0, 1, ...) consumes no stream words. */
+            /* integers(0, 1, ...) draws nothing. */
             counts[0] = (int32_t)size;
             owner[0] = 0;
         }
@@ -212,32 +152,23 @@ long repro_run_round(
             if (occupancy == 1) {
                 t += t_single;
                 n_single++;
-                if (has_loss) {
-                    if (lane_pos >= lane_len) {
-                        out_i[0] = (lane_pos - lane_start) + 1;
-                        return 1;
-                    }
-                    const uint64_t w = words[lane_pos++];
-                    if ((double)(w >> 11) * 0x1p-53 < p_loss) {
-                        n_lost++;
-                        slot_counter++;
-                        continue;
-                    }
+                slot_counter++;
+                if (has_loss && next_double(bg_state) < p_loss) {
+                    n_lost++;
+                    continue;
                 }
                 const int64_t j = owner[slot];
                 const int64_t p_i = with_replacement ? j : (int64_t)unseen[j];
                 if (seen[p_i]) {
                     n_duplicate++;
-                    slot_counter++;
                     continue;
                 }
                 seen[p_i] = 1;
                 n_seen++;
                 read_pos[n_reads] = p_i;
-                read_slot[n_reads] = slot_counter;
+                read_slot[n_reads] = slot_counter - 1;
                 read_time[n_reads] = t;
                 n_reads++;
-                slot_counter++;
                 if (n_seen >= n) break;
                 continue;
             }
@@ -274,26 +205,20 @@ long repro_run_round(
         }
         if (truncated) break;
         if (n_seen >= n) break;
-        if (!exit_cut) {
-            t += t_query;
-            if (strat == 1) frame_length = (int64_t)1 << q;
-        }
+        if (!exit_cut) t += t_query;
     }
 
-    out_i[0] = lane_pos;
-    out_i[1] = n_empty;
-    out_i[2] = n_single;
-    out_i[3] = n_collision;
-    out_i[4] = n_duplicate;
-    out_i[5] = n_adjusts;
-    out_i[6] = n_frames;
-    out_i[7] = truncated;
-    out_i[8] = n_reads;
-    out_i[9] = slot_counter;
-    out_i[10] = spare;
-    out_i[11] = n_lost;
+    out_i[0] = n_empty;
+    out_i[1] = n_single;
+    out_i[2] = n_collision;
+    out_i[3] = n_duplicate;
+    out_i[4] = n_adjusts;
+    out_i[5] = n_frames;
+    out_i[6] = truncated;
+    out_i[7] = n_reads;
+    out_i[8] = slot_counter;
+    out_i[9] = n_lost;
     out_d[0] = t;
-    return 0;
 }
 """
 
@@ -371,7 +296,7 @@ def load_kernel() -> Optional[ctypes.CDLL]:
     """Compile (once) and load the C kernel; ``None`` when unavailable.
 
     Gated by ``REPRO_CALENDAR_CKERNEL`` (set to ``0`` to force the
-    pure-Python fallback, e.g. to benchmark it or on systems without a C
+    reference-walk fallback, e.g. to benchmark it or on systems without a C
     compiler).  The build is cached per source hash, so subsequent runs
     only pay a ``dlopen``.
     """
@@ -391,15 +316,12 @@ def load_kernel() -> Optional[ctypes.CDLL]:
     except OSError:
         return None
     fn = lib.repro_run_round
-    fn.restype = ctypes.c_long
+    fn.restype = None
     fn.argtypes = [
         ctypes.c_void_p,  # dpar
         ctypes.c_void_p,  # ipar
-        ctypes.c_void_p,  # lanes
-        ctypes.c_int64,  # lane_len
-        ctypes.c_int64,  # lane_pos
+        ctypes.c_void_p,  # bitgen
         ctypes.c_void_p,  # seen
-        ctypes.c_void_p,  # draws
         ctypes.c_void_p,  # counts
         ctypes.c_void_p,  # owner
         ctypes.c_void_p,  # unseen

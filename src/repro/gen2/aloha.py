@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import abc
 import enum
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional
 
 
 class SlotOutcome(enum.Enum):
@@ -22,14 +20,6 @@ class SlotOutcome(enum.Enum):
     EMPTY = "empty"
     SINGLE = "single"
     COLLISION = "collision"
-
-
-#: Occupancy-code -> outcome used by the frame-granular scan fast path.
-_OUTCOME_BY_CODE = (
-    SlotOutcome.EMPTY,
-    SlotOutcome.SINGLE,
-    SlotOutcome.COLLISION,
-)
 
 
 class FrameStrategy(abc.ABC):
@@ -55,30 +45,6 @@ class FrameStrategy(abc.ABC):
     def next_frame(self, n_remaining_estimate: int) -> int:
         """Frame length for the next frame once the current one is exhausted."""
 
-    def scan_frame(self, counts: Sequence[int]) -> Optional[Tuple[int, int]]:
-        """Frame-granular equivalent of calling :meth:`on_slot` per slot.
-
-        ``counts[i]`` is the number of tags that drew slot ``i`` of the
-        upcoming frame (0 = empty, 1 = single, >= 2 = collision).  Returns
-        ``(slot_index, request)`` for the first slot whose :meth:`on_slot`
-        reaction would be non-``None``, or ``None`` when the whole frame
-        passes without a mid-frame request.
-
-        Contract: on return the strategy's internal state must be exactly as
-        if :meth:`on_slot` had been invoked for slots ``0..slot_index``
-        (inclusive) — or for every slot when ``None`` is returned.  The fast
-        inventory engine relies on this to skip per-slot strategy calls; the
-        default implementation replays :meth:`on_slot` and is therefore
-        always correct for subclasses that do not override it.
-        """
-        on_slot = self.on_slot
-        occupancies = counts.tolist() if hasattr(counts, "tolist") else counts
-        for i, occupancy in enumerate(occupancies):
-            request = on_slot(_OUTCOME_BY_CODE[min(occupancy, 2)])
-            if request is not None:
-                return i, request
-        return None
-
 
 class FixedQ(FrameStrategy):
     """Plain FSA with a constant frame of ``2**q`` slots."""
@@ -93,9 +59,6 @@ class FixedQ(FrameStrategy):
 
     def on_slot(self, outcome: SlotOutcome) -> Optional[int]:
         return None
-
-    def scan_frame(self, counts: Sequence[int]) -> Optional[Tuple[int, int]]:
-        return None  # never requests a mid-frame adjust
 
     def next_frame(self, n_remaining_estimate: int) -> int:
         return 1 << self.q
@@ -115,17 +78,6 @@ class IdealDFSA(FrameStrategy):
             # successful read; the engine passes the updated remaining count
             # through next_frame, so a restart request is signalled here.
             return -1  # sentinel: engine calls next_frame with fresh count
-        return None
-
-    def scan_frame(self, counts: Sequence[int]) -> Optional[Tuple[int, int]]:
-        if isinstance(counts, np.ndarray):
-            singles = np.flatnonzero(counts == 1)
-            if singles.size:
-                return int(singles[0]), -1
-            return None
-        for i, occupancy in enumerate(counts):
-            if occupancy == 1:
-                return i, -1
         return None
 
     def next_frame(self, n_remaining_estimate: int) -> int:
@@ -166,55 +118,6 @@ class QAdaptive(FrameStrategy):
         if new_q != self.q:
             self.q = new_q
             return 1 << self.q
-        return None
-
-    def scan_frame(self, counts: Sequence[int]) -> Optional[Tuple[int, int]]:
-        # Inlined replay of on_slot: the float update sequence (clamp then
-        # round) must match the per-slot path bit for bit, so the arithmetic
-        # below mirrors on_slot exactly.  Successful slots leave Qfp
-        # untouched and round(Qfp) == q is an invariant between adjusts, so
-        # the rounding check is only needed after a change.
-        qfp = self.qfp
-        q = self.q
-        c = self.c
-        if not hasattr(counts, "tolist"):
-            # Already a plain list: loop directly.
-            for j, occupancy in enumerate(counts):
-                if occupancy == 0:
-                    qfp = max(0.0, qfp - c)
-                elif occupancy >= 2:
-                    qfp = min(15.0, qfp + c)
-                else:
-                    continue
-                new_q = int(round(qfp))
-                if new_q != q:
-                    self.qfp = qfp
-                    self.q = new_q
-                    return j, 1 << new_q
-            self.qfp = qfp
-            return None
-        # Chunked materialisation for ndarrays: the adjust usually lands
-        # within a few slots of the frame start (Qfp drifts by at most c per
-        # slot), so converting the whole frame to a list up front would
-        # waste work on large frames.
-        total = len(counts)
-        base = 0
-        while base < total:
-            occupancies = counts[base : base + 64].tolist()
-            for j, occupancy in enumerate(occupancies):
-                if occupancy == 0:
-                    qfp = max(0.0, qfp - c)
-                elif occupancy >= 2:
-                    qfp = min(15.0, qfp + c)
-                else:
-                    continue
-                new_q = int(round(qfp))
-                if new_q != q:
-                    self.qfp = qfp
-                    self.q = new_q
-                    return base + j, 1 << new_q
-            base += 64
-        self.qfp = qfp
         return None
 
     def next_frame(self, n_remaining_estimate: int) -> int:

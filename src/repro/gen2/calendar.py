@@ -6,27 +6,20 @@ Q-algorithm walk, slot settlement, dedup and cumulative time assignment — is
 handed to the compiled kernel in :mod:`repro.gen2._ckernel` as one call, and
 Python only materialises the results (an :class:`InventoryLog` plus
 :class:`TagRead` records).  Python-level work is thereby O(rounds) with a
-tiny constant instead of O(frames) or O(slots), and rounds that the kernel
-cannot express (link loss, custom strategies, frame-level tracing, exotic
-bit generators) fall back to the vectorised fast path, which is always
-correct.
+tiny constant instead of O(slots).  Rounds the kernel cannot express fall
+back to the reference walk (see :meth:`InventoryEngine._run_round_calendar`).
 
-This module owns the per-engine kernel state: the loaded shared library and
-the reusable scratch buffers the kernel writes into.  Buffers are allocated
-once and grown geometrically, so steady-state rounds do zero allocation
-beyond the result objects themselves.
+This module owns the per-engine kernel state: the loaded shared library,
+the reusable scratch buffers the kernel writes into, and the address of the
+engine generator's ``bitgen_t``.  Buffers are allocated once and grown
+geometrically, so steady-state rounds do zero allocation beyond the result
+objects themselves.
 
-RNG discipline matches the fast engine's buffered path exactly: frame draws
-are replayed from the engine's pre-fetched PCG64 32-bit lane buffer
-(``lane >> (32 - q)``), and the kernel reports how many lanes it needed when
-the buffer runs dry — the caller refills (which re-snapshots numpy's stream
-position, exactly like :meth:`InventoryEngine._lane_fill`) and re-runs the
-round; nothing was committed, so the retry is idempotent.  With link loss
-on, the buffer instead holds raw 64-bit PCG64 words (see
-:meth:`InventoryEngine._word_fill`): the kernel splits them into frame-draw
-lanes itself, carrying the spare high lane across frames, and spends one
-whole word per singleton loss draw — the exact interleaving the fast
-engine's ``_raw_frame_draw`` + ``Generator.random()`` sequence produces.
+The kernel draws straight from numpy's bit generator through that
+``bitgen_t``, so there is no Python-side buffer to keep in step: kernel
+rounds and reference rounds can interleave freely on one generator.  The
+address is process-local, which is why it lives here and never in pickled
+engine state.
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ class CalendarKernel:
 
     ``fn`` is ``None`` when the compiled kernel is unavailable (no C
     compiler, or disabled via ``REPRO_CALENDAR_CKERNEL=0``); callers must
-    then use the pure-Python fast path.
+    then use the reference walk.
     """
 
     __slots__ = (
@@ -64,13 +57,11 @@ class CalendarKernel:
         "owner_ptr",
         "cap",
         "seen",
-        "draws",
         "unseen",
         "read_pos",
         "read_slot",
         "read_time",
         "seen_ptr",
-        "draws_ptr",
         "unseen_ptr",
         "read_pos_ptr",
         "read_slot_ptr",
@@ -81,7 +72,8 @@ class CalendarKernel:
         "read_time_np",
         "timing_src",
         "t_startup",
-        "t_empty",
+        "bitgen_src",
+        "bitgen_ptr",
     )
 
     def __init__(self) -> None:
@@ -90,9 +82,9 @@ class CalendarKernel:
         if self.fn is None:
             return
         self.dpar = (ctypes.c_double * 9)()
-        self.ipar = (ctypes.c_int64 * 8)()
-        self.out_i = (ctypes.c_int64 * 12)()
-        self.out_d = (ctypes.c_double * 2)()
+        self.ipar = (ctypes.c_int64 * 5)()
+        self.out_i = (ctypes.c_int64 * 10)()
+        self.out_d = (ctypes.c_double * 1)()
         self.counts = (ctypes.c_int32 * _ckernel.MAX_FRAME)()
         self.owner = (ctypes.c_int32 * _ckernel.MAX_FRAME)()
         self.dpar_ptr = ctypes.addressof(self.dpar)
@@ -104,6 +96,7 @@ class CalendarKernel:
         # Zero-copy view: bulk ``tolist()`` beats per-element ctypes access.
         self.out_i_np = np.frombuffer(self.out_i, dtype=np.int64)
         self.timing_src = None
+        self.bitgen_src = None
         self.cap = 0
         self._grow(256)
 
@@ -117,8 +110,15 @@ class CalendarKernel:
         dpar[5] = timing.query_adjust_duration
         dpar[6] = timing.query_duration
         self.t_startup = timing.startup_cost
-        self.t_empty = timing.empty_slot_duration
         self.timing_src = timing
+
+    def bind_bit_generator(self, bit_generator) -> None:
+        """Point the kernel at ``bit_generator``'s ``bitgen_t``.
+
+        Holding the generator keeps the struct the address refers to alive.
+        """
+        self.bitgen_ptr = bit_generator.ctypes.bit_generator.value
+        self.bitgen_src = bit_generator
 
     def _grow(self, n: int) -> None:
         cap = max(256, self.cap)
@@ -126,13 +126,11 @@ class CalendarKernel:
             cap <<= 1
         self.cap = cap
         self.seen = (ctypes.c_uint8 * cap)()
-        self.draws = (ctypes.c_int32 * cap)()
         self.unseen = (ctypes.c_int32 * cap)()
         self.read_pos = (ctypes.c_int64 * cap)()
         self.read_slot = (ctypes.c_int64 * cap)()
         self.read_time = (ctypes.c_double * cap)()
         self.seen_ptr = ctypes.addressof(self.seen)
-        self.draws_ptr = ctypes.addressof(self.draws)
         self.unseen_ptr = ctypes.addressof(self.unseen)
         self.read_pos_ptr = ctypes.addressof(self.read_pos)
         self.read_slot_ptr = ctypes.addressof(self.read_slot)

@@ -1,44 +1,68 @@
-"""Differential tests: calendar engine vs fast vs reference.
+"""Differential tests: calendar engine vs the reference slot walk.
 
-The event-calendar kernel's contract is the same as the fast engine's —
-*bit-for-bit equivalence* with the sequential reference walk: same reads,
-same timing, same counters, same RNG consumption, for every strategy,
-session mode, fault plan and deadline.  These tests drive all three engines
-over that space and compare everything observable, both at the engine level
-(raw :class:`InventoryLog`) and at the reader level (post-fault report
-streams under a :class:`FaultPlan`).
+The event-calendar kernel's contract is *bit-for-bit equivalence* with the
+sequential reference walk: same reads, same timing, same counters and the
+same generator state after every round, for every strategy, session mode,
+loss rate, deadline and numpy bit generator.  These tests drive both
+engines over that space and compare everything observable, both at the
+engine level (raw :class:`InventoryLog` plus ``bit_generator.state``) and
+at the reader level (post-fault report streams under a :class:`FaultPlan`).
+Rounds the kernel cannot express fall back to the reference walk on the
+same generator, so engines whose rounds alternate between kernel and
+fallback must match a pure reference run too.
 """
+
+import json
+import pickle
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultPlan, FaultyReader
-from repro.gen2.aloha import FixedQ, QAdaptive
+from repro.gen2 import _ckernel
+from repro.gen2.aloha import FixedQ, IdealDFSA, QAdaptive
 from repro.gen2.epc import EPC
 from repro.gen2.inventory import InventoryEngine, InventoryLog
 from repro.gen2.timing import R420_PROFILE
+from repro.obs.tracer import Tracer, use_tracer
 from repro.world.motion import CircularPath, Stationary
 from repro.world.scene import Antenna, Scene, TagInstance
 
-ENGINES = ("calendar", "fast", "reference")
+ENGINES = ("calendar", "reference")
+
+BIT_GENERATORS = {
+    "pcg64": np.random.PCG64,
+    "philox": np.random.Philox,
+    "sfc64": np.random.SFC64,
+    "mt19937": np.random.MT19937,
+}
 
 
 def _factory(kind, q):
     if kind == "qadaptive":
         return lambda: QAdaptive(initial_q=q)
-    return lambda: FixedQ(q)
+    if kind == "fixedq":
+        return lambda: FixedQ(q)
+    return IdealDFSA
+
+
+def _engine(engine_name, factory, rng, with_replacement=True, loss=0.0):
+    return InventoryEngine(
+        R420_PROFILE,
+        factory,
+        rng=rng,
+        with_replacement=with_replacement,
+        read_loss_probability=loss,
+        engine=engine_name,
+    )
 
 
 def _run_rounds(engine_name, kind, q, n_tags, seed, with_replacement,
                 loss, deadline, rounds):
-    engine = InventoryEngine(
-        R420_PROFILE,
-        _factory(kind, q),
-        rng=seed,
-        with_replacement=with_replacement,
-        read_loss_probability=loss,
-        engine=engine_name,
+    engine = _engine(
+        engine_name, _factory(kind, q), seed, with_replacement, loss
     )
     logs = [
         engine.run_round(range(n_tags), max_duration_s=deadline)
@@ -63,46 +87,66 @@ def _log_signature(log):
     )
 
 
+def _round_signatures(engine, n_tags, rounds, deadline=None,
+                      before=lambda i: nullcontext()):
+    """Per-round log signature plus the full generator state after it.
+
+    ``before(i)`` returns a context manager entered around round ``i``.
+    """
+    out = []
+    for i in range(rounds):
+        with before(i):
+            log = engine.run_round(range(n_tags), max_duration_s=deadline)
+        out.append((_log_signature(log), _generator_state(engine)))
+    return out
+
+
+def _generator_state(engine):
+    """The full bit-generator state, comparable for every generator kind
+    (MT19937 keeps its key as an array)."""
+    return json.dumps(
+        engine.rng.bit_generator.state,
+        default=lambda value: value.tolist(),
+        sort_keys=True,
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["qadaptive", "fixedq"]),
+    kind=st.sampled_from(["qadaptive", "fixedq", "dfsa"]),
     q=st.integers(min_value=0, max_value=7),
     n_tags=st.sampled_from([0, 1, 3, 17, 60]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
+    bit_generator=st.sampled_from(sorted(BIT_GENERATORS)),
     with_replacement=st.booleans(),  # S0 vs S1 session models
     loss=st.sampled_from([0.0, 0.1, 0.5]),
     deadline=st.sampled_from([None, 0.02]),
 )
-def test_calendar_matches_fast_and_reference(
-    kind, q, n_tags, seed, with_replacement, loss, deadline
+def test_calendar_matches_reference(
+    kind, q, n_tags, seed, bit_generator, with_replacement, loss, deadline
 ):
     original_cap = InventoryEngine.MAX_SLOTS_PER_ROUND
     # A low cap makes the truncation path reachable (FixedQ(0) over many
     # tags collides forever) without hypothesis-hostile runtimes.
     InventoryEngine.MAX_SLOTS_PER_ROUND = 1500
-    probe_stream = loss > 0.0
     try:
         signatures = {}
         for name in ENGINES:
-            engine, logs = _run_rounds(
-                name, kind, q, n_tags, seed, with_replacement, loss,
-                deadline, rounds=2,
+            engine = _engine(
+                name,
+                _factory(kind, q),
+                np.random.Generator(BIT_GENERATORS[bit_generator](seed)),
+                with_replacement,
+                loss,
             )
-            sig = [_log_signature(log) for log in logs]
-            # The stream position must match too; only meaningful for the
-            # fast engine, whose lossy helpers draw exactly on demand.  The
-            # calendar kernel bulk-prefetches raw words on refill (like the
-            # loss-free lane buffer), so its generator legitimately sits
-            # ahead — its *consumed* stream is pinned by the log equality.
-            if probe_stream and name != "calendar":
-                sig.append(tuple(engine.rng.random(size=4).tolist()))
-            signatures[name] = sig
+            # The generator state after every round pins RNG consumption
+            # exactly, numpy's buffered 32-bit lane included.
+            signatures[name] = _round_signatures(
+                engine, n_tags, rounds=2, deadline=deadline
+            )
     finally:
         InventoryEngine.MAX_SLOTS_PER_ROUND = original_cap
-    assert (
-        signatures["calendar"] == signatures["reference"][: len(signatures["calendar"])]
-    )
-    assert signatures["fast"] == signatures["reference"]
+    assert signatures["calendar"] == signatures["reference"]
 
 
 @settings(max_examples=30, deadline=None)
@@ -138,7 +182,6 @@ def test_merged_logs_are_engine_invariant(
             total.merge(log)
         merged[name] = _log_signature(total)
     assert merged["calendar"] == merged["reference"]
-    assert merged["fast"] == merged["reference"]
 
 
 # ----------------------------------------------------------------------
@@ -203,13 +246,127 @@ def test_reader_reports_engine_invariant_under_faults(plan_name, seed):
         name: _reader_trace(name, plan, seed) for name in ENGINES
     }
     assert traces["calendar"] == traces["reference"]
-    assert traces["fast"] == traces["reference"]
 
 
+# ----------------------------------------------------------------------
+# Kernel and fallback rounds on one generator
+# ----------------------------------------------------------------------
+def _count_fallbacks(monkeypatch):
+    """Count reference-walk rounds, whichever engine asks for them."""
+    calls = []
+    walk = InventoryEngine._run_round_reference
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.engine)
+        return walk(self, *args, **kwargs)
+
+    monkeypatch.setattr(InventoryEngine, "_run_round_reference", counted)
+    return calls
+
+
+def _alternating_factory():
+    """Q-adaptive on even rounds, ideal DFSA (a fallback) on odd ones."""
+    made = []
+
+    def factory():
+        made.append(None)
+        if len(made) % 2:
+            return QAdaptive(initial_q=4)
+        return IdealDFSA()
+
+    return factory
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.3])
+@pytest.mark.parametrize("bit_generator", sorted(BIT_GENERATORS))
+def test_strategy_fallback_rounds_interleave_exactly(
+    monkeypatch, bit_generator, loss
+):
+    calls = _count_fallbacks(monkeypatch)
+    signatures = {}
+    for name in ENGINES:
+        engine = _engine(
+            name,
+            _alternating_factory(),
+            np.random.Generator(BIT_GENERATORS[bit_generator](11)),
+            loss=loss,
+        )
+        signatures[name] = _round_signatures(engine, 23, rounds=6)
+    assert signatures["calendar"] == signatures["reference"]
+    # Three of the calendar engine's six rounds were IdealDFSA fallbacks.
+    assert calls.count("calendar") == 3
+    assert calls.count("reference") == 6
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.3])
+def test_frame_detail_rounds_interleave_exactly(monkeypatch, loss):
+    """Frame-detail tracing runs the reference walk, mid-stream."""
+    calls = _count_fallbacks(monkeypatch)
+
+    def frame_traced_on_odd_rounds(i):
+        return use_tracer(Tracer(detail="frame") if i % 2 else None)
+
+    signatures = {}
+    for name in ENGINES:
+        engine = _engine(
+            name, lambda: QAdaptive(initial_q=3), np.random.default_rng(5),
+            loss=loss,
+        )
+        signatures[name] = _round_signatures(
+            engine, 31, rounds=6, before=frame_traced_on_odd_rounds
+        )
+    assert signatures["calendar"] == signatures["reference"]
+    assert calls.count("calendar") == 3
+
+
+def test_without_kernel_calendar_runs_the_reference_walk(monkeypatch):
+    monkeypatch.setattr(_ckernel, "load_kernel", lambda: None)
+    calls = _count_fallbacks(monkeypatch)
+    signatures = {}
+    for name in ENGINES:
+        engine = _engine(
+            name, lambda: QAdaptive(initial_q=4), np.random.default_rng(3),
+            loss=0.2,
+        )
+        signatures[name] = _round_signatures(engine, 17, rounds=3)
+        if name == "calendar":
+            assert engine._cal.fn is None
+    assert signatures["calendar"] == signatures["reference"]
+    assert calls.count("calendar") == 3
+
+
+def test_engine_pickles_without_kernel_state():
+    engine = _engine("calendar", QAdaptive, 9)
+    engine.run_round(range(12))
+    clone = pickle.loads(pickle.dumps(engine))
+    assert clone._cal is None
+    assert _round_signatures(clone, 12, rounds=2) == _round_signatures(
+        engine, 12, rounds=2
+    )
+
+
+# ----------------------------------------------------------------------
+# Engine selection
+# ----------------------------------------------------------------------
 def test_env_var_selects_calendar(monkeypatch):
     monkeypatch.delenv("REPRO_INVENTORY_ENGINE", raising=False)
     engine = InventoryEngine(R420_PROFILE, lambda: QAdaptive(initial_q=4))
     assert engine.engine == "calendar"
     monkeypatch.setenv("REPRO_INVENTORY_ENGINE", "fast")
+    with pytest.raises(ValueError, match="'calendar' or 'reference'"):
+        InventoryEngine(R420_PROFILE, lambda: QAdaptive(initial_q=4))
+
+
+def test_engine_env_default(monkeypatch):
+    monkeypatch.setenv("REPRO_INVENTORY_ENGINE", "reference")
     engine = InventoryEngine(R420_PROFILE, lambda: QAdaptive(initial_q=4))
-    assert engine.engine == "fast"
+    assert engine.engine == "reference"
+
+
+def test_engine_rejects_unknown():
+    # "fast" named the frame-granular engine the kernel replaced.
+    for name in ("fast", "warp"):
+        with pytest.raises(ValueError, match="'calendar' or 'reference'"):
+            InventoryEngine(
+                R420_PROFILE, lambda: QAdaptive(initial_q=4), engine=name
+            )

@@ -46,11 +46,6 @@ class TestRunRound:
         assert log.truncated
         assert len(log.reads) < 50
 
-    def test_on_read_callback(self):
-        seen = []
-        engine().run_round(range(5), on_read=seen.append)
-        assert len(seen) == 5
-
     def test_duplicates_counted_in_s0_mode(self):
         log = engine(with_replacement=True, seed=3).run_round(range(30))
         assert log.n_duplicate > 0

@@ -95,6 +95,18 @@ class TestReporting:
             soak.SoakConfig(crash_downtime_s=(5.0, 1.0))
 
 
+class TestScratchCleanup:
+    def test_default_checkpoint_dir_is_removed(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        config = soak.SoakConfig(n_cycles=25, seed=3, checkpoint_every=5)
+        assert config.checkpoint_dir is None
+        report = soak.run(config)
+        assert report.n_checkpoints >= 1  # checkpoints were really written
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCLI:
     def test_soak_command_exit_codes(self, tmp_path, capsys):
         from repro.cli import main

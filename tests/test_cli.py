@@ -172,6 +172,13 @@ class TestHealthCommand:
         out = capsys.readouterr().out
         assert out.count("status=ok") >= 3
 
+    def test_checkpoint_scratch_is_removed(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["health", "--cycles", "3"]) == 0
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEngineFlag:
     def test_flag_overrides_env_and_restores_it(self, monkeypatch):
@@ -187,8 +194,8 @@ class TestEngineFlag:
             return 0
 
         monkeypatch.setitem(cli.COMMANDS, "figures", spy)
-        assert cli.main(["figures", "--engine", "fast"]) == 0
-        assert seen["engine"] == "fast"
+        assert cli.main(["figures", "--engine", "calendar"]) == 0
+        assert seen["engine"] == "calendar"
         # The previous value is back once the command returns.
         assert os.environ["REPRO_INVENTORY_ENGINE"] == "reference"
         # Without the flag, the env var (or the default) still rules.
