@@ -496,6 +496,7 @@ def _cmd_site_chaos(args: argparse.Namespace) -> int:
         n_outages=args.outages,
     )
     differential_ok: Optional[bool] = None
+    report_bytes: Optional[bytes] = None
     with tempfile.TemporaryDirectory(prefix="repro-site-chaos-") as tmp:
         recorder = FlightRecorder() if args.bundle_dir else None
         outer_tracer = get_tracer()
@@ -532,8 +533,11 @@ def _cmd_site_chaos(args: argparse.Namespace) -> int:
                     ),
                     checkpoint_path=str(Path(tmp) / "mirror.ckpt"),
                 )
+            # The reference leg renders through stdlib JSON, so the check
+            # also crosses the canonical-bytes writer.
+            report_bytes = report.canonical_bytes()
             differential_ok = (
-                reference.canonical_bytes() == report.canonical_bytes()
+                _stdlib_canonical_bytes(reference) == report_bytes
             )
     _log.info(site_soak.format_report(config, report))
     code = 0 if report.ok else 1
@@ -548,7 +552,7 @@ def _cmd_site_chaos(args: argparse.Namespace) -> int:
     elif differential_ok:
         _log.info(
             "differential check: sharded chaos run byte-identical to "
-            "sequential reference"
+            "sequential reference (stdlib JSON)"
         )
     if args.bundle_dir:
         bundles = list_bundles(args.bundle_dir)
@@ -564,9 +568,20 @@ def _cmd_site_chaos(args: argparse.Namespace) -> int:
         )
     if args.out:
         with open(args.out, "wb") as handle:
-            handle.write(report.canonical_bytes())
+            handle.write(
+                report_bytes
+                if report_bytes is not None
+                else report.canonical_bytes()
+            )
         _log.info(f"wrote {args.out}")
     return code
+
+
+def _stdlib_canonical_bytes(report) -> bytes:
+    """``report.canonical()`` through stdlib JSON: the writer's oracle."""
+    return (
+        json.dumps(report.canonical(), indent=2, sort_keys=True) + "\n"
+    ).encode("utf-8")
 
 
 def cmd_site(args: argparse.Namespace) -> int:
@@ -634,15 +649,18 @@ def cmd_site(args: argparse.Namespace) -> int:
         f"(budget {health['policy']['redundancy_budget']:.0f}x), "
         f"{health['n_slo_alerts']} SLO alert(s)"
     )
+    run_bytes: Optional[bytes] = None
     if args.check_differential:
         # The reference leg deliberately crosses every fast-path switch at
-        # once: sequential, unculled shards, scalar fusion.  Byte equality
-        # against the (default) culled/columnar sharded run pins all three
+        # once: sequential, unculled shards, scalar fusion, and stdlib JSON
+        # instead of the canonical-bytes writer.  Byte equality against
+        # the (default) culled/columnar sharded run pins all four
         # optimisations as behaviour-neutral in one check.
         reference = simulate_site(
             config, workers=1, cull=False, fusion_engine="reference"
         )
-        if reference.canonical_bytes() != run.canonical_bytes():
+        run_bytes = run.canonical_bytes()
+        if _stdlib_canonical_bytes(reference) != run_bytes:
             _log.error(
                 "differential check FAILED: sharded culled/columnar run "
                 "diverges from the sequential unculled/reference run"
@@ -651,11 +669,13 @@ def cmd_site(args: argparse.Namespace) -> int:
         else:
             _log.info(
                 "differential check: sharded run byte-identical to the "
-                "sequential unculled/reference-fusion run"
+                "sequential unculled/reference-fusion run (stdlib JSON)"
             )
     if args.out:
         with open(args.out, "wb") as handle:
-            handle.write(run.canonical_bytes())
+            handle.write(
+                run_bytes if run_bytes is not None else run.canonical_bytes()
+            )
         _log.info(f"wrote {args.out}")
     return code
 

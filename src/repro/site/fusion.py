@@ -26,13 +26,22 @@ Two engines implement the fold.  ``engine="reference"`` is the original
 one-report-at-a-time scalar ingest; ``engine="columnar"`` (the default,
 togglable via ``REPRO_FUSION_ENGINE``) absorbs whole batches through a
 vectorized arbitration-order ``lexsort`` — dedup, per-EPC aggregation and
-winner selection all happen on numpy columns, and ``TagReport`` objects
-are only materialised for reports that actually survive.  Both engines
-drive the exact same internal state, so every downstream surface
-(:meth:`FusionLayer.snapshot`, :meth:`reports`, :meth:`records`) is
-byte-identical between them — the differential property tests in
-``tests/site/test_fusion_columnar.py`` pin that across arbitrary orders,
-duplications and interleaved merges.
+winner selection all happen on numpy columns, and rows absorbed through
+:meth:`FusionLayer.ingest_rows` stay bare keys (only each EPC's latest
+sighting becomes a ``TagReport``) until :meth:`FusionLayer.reports` asks
+for them.  Both engines drive the exact same internal state, so every
+downstream surface (:meth:`FusionLayer.snapshot`, :meth:`reports`,
+:meth:`records`) is byte-identical between them — the differential
+property tests in ``tests/site/test_fusion_columnar.py`` pin that across
+arbitrary orders, duplications and batch sizes from zero up.
+
+Canonical bytes are rendered from the same state: :func:`render_rows` and
+:func:`render_records` print the :meth:`TagReport.to_row` and
+:meth:`FusedRecord.to_dict` shapes with one ``%`` template per row or
+record, byte-identical to ``json.dumps(..., indent=2, sort_keys=True)``
+(CPython's C encoder never runs with ``indent`` set).  Stdlib JSON of
+:meth:`FusionLayer.snapshot` stays the oracle;
+``tests/site/test_canonical_oracle.py`` holds the renderers to it.
 """
 
 from __future__ import annotations
@@ -44,12 +53,29 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.radio.measurement import TagObservation
+from repro.util.jsontext import (
+    dumps_at,
+    json_nonfinite,
+    render_array,
+    render_object,
+)
 
 #: Report timestamps are rounded to this many decimals when forming the
 #: dedup key, matching the precision of every serialised trace in the repo.
 TIME_PRECISION = 9
 
 ReportKey = Tuple[int, int, float, int, int, float, float]
+ArbitrationOrder = Tuple[float, int, int, int, float, float]
+
+
+def _arbitration(key: ReportKey) -> ArbitrationOrder:
+    """:attr:`TagReport.arbitration_order` from an already-rounded key."""
+    return (key[2], key[1], key[3], key[4], key[5], key[6])
+
+
+def _report_order(key: ReportKey) -> Tuple:
+    """The EPC, then the arbitration order, from an already-rounded key."""
+    return (key[0],) + _arbitration(key)
 
 
 @dataclass(frozen=True)
@@ -85,7 +111,7 @@ class TagReport:
         )
 
     @property
-    def arbitration_order(self) -> Tuple[float, int, int, int, float, float]:
+    def arbitration_order(self) -> ArbitrationOrder:
         """Total order used to pick the authoritative latest sighting.
 
         Total over *distinct* reports (the payload fields break any tie in
@@ -140,6 +166,28 @@ class TagReport:
         )
 
 
+def _row_template(pad: str, epc: str = "%s") -> str:
+    """``%`` template of one :meth:`TagReport.to_row` row at ``pad``.
+
+    ``epc`` formats the first field: ``%s`` for a row's hex string, ``%x``
+    for the EPC value of a :attr:`TagReport.key`.
+    """
+    field = ",\n" + pad + "  %s"
+    return "[\n" + pad + '  "' + epc + '"' + field * 6 + "\n" + pad + "]"
+
+
+def render_rows(rows: Sequence[Sequence[object]], pad: str) -> str:
+    """A list of :meth:`TagReport.to_row` rows as canonical JSON text.
+
+    Exactly ``json.dumps(rows, indent=2, sort_keys=True)`` nested at
+    ``pad`` (see :mod:`repro.util.jsontext`), one ``%`` template per row.
+    """
+    template = _row_template(pad + "  ")
+    return json_nonfinite(
+        render_array([template % tuple(row) for row in rows], pad)
+    )
+
+
 @dataclass
 class FusedRecord:
     """Site-level state of one EPC, merged across every reader."""
@@ -182,13 +230,75 @@ class FusedRecord:
         }
 
 
+def render_records(
+    records: Sequence[FusedRecord],
+    latest_keys: Dict[int, ReportKey],
+    pad: str,
+) -> str:
+    """A :class:`FusionLayer`'s records as canonical JSON text.
+
+    Exactly the :meth:`FusedRecord.to_dict` list through ``json.dumps(...,
+    indent=2, sort_keys=True)``, nested at ``pad``, one ``%`` template per
+    record.  It renders the layer's own state, where every time is already
+    rounded to :data:`TIME_PRECISION` at ingest (so ``to_dict``'s rounding
+    is a no-op) and ``latest_keys`` holds each ``latest`` report's rounded
+    :attr:`TagReport.key` (what ``to_row`` prints), because ``ingest_many``
+    keeps unrounded originals.  Both per-reader maps of a record share its
+    reader ids, keyed in *string* order (``"10"`` before ``"2"``), as
+    ``sort_keys`` orders them.
+    """
+    p1 = pad + "  "
+    p2 = p1 + "  "
+    p3 = p2 + "  "
+    template = "{" + ",".join(
+        "\n" + p2 + member
+        for member in (
+            '"epc": "%x"',
+            '"first_seen_s": %s',
+            '"last_seen_by_reader": %s',
+            '"last_seen_s": %s',
+            '"latest": ' + _row_template(p2, "%x"),
+            '"n_reports": %s',
+            '"reports_by_reader": %s',
+        )
+    ) + "\n" + p1 + "}"
+    entry = "\n" + p3 + '"%s": %s'
+    close = "\n" + p2 + "}"
+    items = []
+    for record in records:
+        epc_value = record.epc_value
+        by_reader = record.reports_by_reader
+        last_seen = record.last_seen_by_reader
+        readers = sorted(by_reader, key=str)
+        items.append(
+            template
+            % (
+                (
+                    epc_value,
+                    record.first_seen_s,
+                    "{"
+                    + ",".join(
+                        [entry % (r, last_seen[r]) for r in readers]
+                    )
+                    + close,
+                    record.last_seen_s,
+                )
+                + latest_keys[epc_value]
+                + (
+                    record.n_reports,
+                    "{"
+                    + ",".join(
+                        [entry % (r, by_reader[r]) for r in readers]
+                    )
+                    + close,
+                )
+            )
+        )
+    return json_nonfinite(render_array(items, pad))
+
+
 #: Engines selectable via ``FusionLayer(engine=...)`` / REPRO_FUSION_ENGINE.
 FUSION_ENGINES = ("columnar", "reference")
-
-#: Below this batch size the columnar engine falls back to the scalar
-#: ingest loop: the numpy set-up cost only pays for itself on real report
-#: batches, and small batches dominate the unit/property-test workloads.
-_COLUMNAR_MIN_BATCH = 32
 
 
 def default_fusion_engine() -> str:
@@ -213,7 +323,10 @@ class FusionLayer:
                 f"unknown fusion engine {engine!r}; known: {FUSION_ENGINES}"
             )
         self.engine = engine
-        self._reports: Dict[ReportKey, TagReport] = {}
+        #: Every distinct report by key.  ``None`` stands for
+        #: ``TagReport(*key)`` — a row absorbed by the columnar
+        #: :meth:`ingest_rows`, built only when :meth:`reports` asks.
+        self._reports: Dict[ReportKey, Optional[TagReport]] = {}
         self._records: Dict[int, FusedRecord] = {}
         #: reader id -> distinct reads, maintained incrementally so the
         #: health/canonicalization surfaces never rescan ``_reports``.
@@ -223,6 +336,11 @@ class FusionLayer:
         #: cannot be a replay, so the columnar path skips the per-key
         #: dedup probe for entire batches of fresh reports.
         self._max_time_by_reader: Dict[int, float] = {}
+        #: EPC -> rounded key of its record's ``latest`` report: the
+        #: columnar fold compares these stored tuples instead of
+        #: recomputing :attr:`TagReport.arbitration_order`, and the
+        #: canonical renderer prints them as the ``latest`` row.
+        self._latest_key: Dict[int, ReportKey] = {}
         #: Cached ascending EPC order for :meth:`records`/:meth:`epc_values`
         #: (invalidated only when a *new* EPC appears — in-place record
         #: updates never change the order).
@@ -262,25 +380,24 @@ class FusionLayer:
             or report.arbitration_order > record.latest.arbitration_order
         ):
             record.latest = report
+            self._latest_key[report.epc_value] = key
         return True
 
     def ingest_many(self, reports: Iterable[TagReport]) -> int:
         """Absorb a batch; returns how many were new."""
-        if self.engine == "columnar":
-            batch = list(reports)
-            if len(batch) >= _COLUMNAR_MIN_BATCH:
-                return self._ingest_columns(
-                    [r.epc_value for r in batch],
-                    [r.reader_id for r in batch],
-                    [round(r.time_s, TIME_PRECISION) for r in batch],
-                    [r.antenna_index for r in batch],
-                    [r.channel_index for r in batch],
-                    [round(r.phase_rad, TIME_PRECISION) for r in batch],
-                    [round(r.rss_dbm, TIME_PRECISION) for r in batch],
-                    originals=batch,
-                )
-            reports = batch
-        return sum(1 for report in reports if self.ingest(report))
+        if self.engine != "columnar":
+            return sum(1 for report in reports if self.ingest(report))
+        batch = list(reports)
+        return self._ingest_columns(
+            [r.epc_value for r in batch],
+            [r.reader_id for r in batch],
+            [round(r.time_s, TIME_PRECISION) for r in batch],
+            [r.antenna_index for r in batch],
+            [r.channel_index for r in batch],
+            [round(r.phase_rad, TIME_PRECISION) for r in batch],
+            [round(r.rss_dbm, TIME_PRECISION) for r in batch],
+            originals=batch,
+        )
 
     def ingest_rows(self, rows: Sequence[Sequence[object]]) -> int:
         """Absorb a batch of :meth:`TagReport.to_row` rows; returns new count.
@@ -288,21 +405,24 @@ class FusionLayer:
         The site fast path: row batches are what cross worker process
         boundaries and what checkpoints replay, and their fields are
         already rounded — so the columnar engine ingests them without
-        materialising a ``TagReport`` per row (only surviving reports are
-        built; a pure replay builds none at all).
+        materialising a ``TagReport`` per row (only a new ``latest``
+        sighting is built; a pure replay builds none at all).  The fold is
+        commutative, so one batch holding every reader's rows fuses to the
+        same state as one batch per reader.
         """
-        if self.engine != "columnar" or len(rows) < _COLUMNAR_MIN_BATCH:
-            return self.ingest_many(
-                TagReport.from_row(row) for row in rows
-            )
+        if self.engine != "columnar":
+            return self.ingest_many(TagReport.from_row(row) for row in rows)
+        if not rows:
+            return 0
+        epcs, readers, times, antennas, channels, phases, rsss = zip(*rows)
         return self._ingest_columns(
-            [int(row[0], 16) for row in rows],
-            [int(row[1]) for row in rows],
-            [float(row[2]) for row in rows],
-            [int(row[3]) for row in rows],
-            [int(row[4]) for row in rows],
-            [float(row[5]) for row in rows],
-            [float(row[6]) for row in rows],
+            [int(value, 16) for value in epcs],
+            readers,
+            times,
+            antennas,
+            channels,
+            phases,
+            rsss,
             originals=None,
         )
 
@@ -310,12 +430,12 @@ class FusionLayer:
     def _ingest_columns(
         self,
         epc_vals: List[int],
-        readers: List[int],
-        times: List[float],
-        antennas: List[int],
-        channels: List[int],
-        phases: List[float],
-        rsss: List[float],
+        readers: Sequence[int],
+        times: Sequence[float],
+        antennas: Sequence[int],
+        channels: Sequence[int],
+        phases: Sequence[float],
+        rsss: Sequence[float],
         originals: Optional[List[TagReport]],
     ) -> int:
         """Columnar fold: vectorized dedup + arbitration over one batch.
@@ -325,21 +445,19 @@ class FusionLayer:
         ordering below agree bit-for-bit with the scalar engine's tuple
         comparisons.  ``originals`` supplies the report objects to store
         (``ingest_many``); when ``None`` (``ingest_rows``) survivors are
-        rebuilt from their key fields — identical, field for field, to
-        what ``TagReport.from_row`` would have produced.
+        stored as bare keys, and only a new ``latest`` sighting is built
+        from its key fields — identical, field for field, to what
+        ``TagReport.from_row`` would have produced.
         """
         n = len(epc_vals)
         # Dense EPC ids: values are 96-bit ints, too wide for an int64
         # column, so sort/group on compact ids instead.
         id_of: Dict[int, int] = {}
-        uniq_epcs: List[int] = []
-        epc_ids = np.empty(n, dtype=np.int64)
-        for j, value in enumerate(epc_vals):
-            i = id_of.get(value)
-            if i is None:
-                i = id_of[value] = len(uniq_epcs)
-                uniq_epcs.append(value)
-            epc_ids[j] = i
+        epc_ids = np.asarray(
+            [id_of.setdefault(value, len(id_of)) for value in epc_vals],
+            dtype=np.int64,
+        )
+        uniq_epcs = list(id_of)
         reader_c = np.asarray(readers, dtype=np.int64)
         time_c = np.asarray(times, dtype=np.float64)
         ant_c = np.asarray(antennas, dtype=np.int64)
@@ -401,7 +519,7 @@ class FusionLayer:
         reader_n = reader_s[new_idx]
         keys = list(
             zip(
-                (uniq_epcs[i] for i in eid_n.tolist()),
+                [uniq_epcs[i] for i in eid_n.tolist()],
                 reader_n.tolist(),
                 time_n.tolist(),
                 ant_s[new_idx].tolist(),
@@ -410,41 +528,47 @@ class FusionLayer:
                 rss_s[new_idx].tolist(),
             )
         )
+        survivors: Optional[List[TagReport]] = None
         if originals is not None:
             survivors = [originals[k] for k in order[new_idx].tolist()]
+            self._reports.update(zip(keys, survivors))
         else:
-            survivors = [TagReport(*key) for key in keys]
-        self._reports.update(zip(keys, survivors))
+            self._reports.update(dict.fromkeys(keys))
         # Per-EPC aggregation: groups are contiguous and time-ascending
         # in the arbitration sort, so first/last seen are the group's
         # edge elements and the winner is the group's last survivor.
+        records = self._records
+        latest_key = self._latest_key
         boundary = np.nonzero(np.r_[True, eid_n[1:] != eid_n[:-1]])[0]
         group_end = np.r_[boundary[1:], n_new]
-        touched: Dict[int, FusedRecord] = {}
         for a, b in zip(boundary.tolist(), group_end.tolist()):
-            epc_value = uniq_epcs[eid_n[a]]
-            t_min = float(time_n[a])
-            t_max = float(time_n[b - 1])
-            record = self._records.get(epc_value)
+            key = keys[b - 1]
+            epc_value = key[0]
+            t_min = keys[a][2]
+            record = records.get(epc_value)
             if record is None:
-                record = FusedRecord(
+                records[epc_value] = FusedRecord(
                     epc_value=epc_value,
                     first_seen_s=t_min,
-                    last_seen_s=t_max,
+                    last_seen_s=key[2],
+                    n_reports=b - a,
+                    latest=(
+                        TagReport(*key)
+                        if survivors is None
+                        else survivors[b - 1]
+                    ),
                 )
-                self._records[epc_value] = record
+                latest_key[epc_value] = key
                 self._epc_order = None
+                continue
             record.first_seen_s = min(record.first_seen_s, t_min)
-            record.last_seen_s = max(record.last_seen_s, t_max)
+            record.last_seen_s = max(record.last_seen_s, key[2])
             record.n_reports += b - a
-            winner = survivors[b - 1]
-            if (
-                record.latest is None
-                or winner.arbitration_order
-                > record.latest.arbitration_order
-            ):
-                record.latest = winner
-            touched[epc_value] = record
+            if _arbitration(key) > _arbitration(latest_key[epc_value]):
+                record.latest = (
+                    TagReport(*key) if survivors is None else survivors[b - 1]
+                )
+                latest_key[epc_value] = key
         # Per-(EPC, reader) aggregation: a second grouped pass gives each
         # pair's count and newest time in O(pairs), not O(rows).
         order2 = np.lexsort((time_n, reader_n, eid_n))
@@ -458,19 +582,21 @@ class FusionLayer:
             ]
         )[0]
         ends2 = np.r_[starts2[1:], n_new]
-        for a, b in zip(starts2.tolist(), ends2.tolist()):
-            epc_value = uniq_epcs[eid_p[a]]
-            reader_id = int(reader_p[a])
-            t_last = float(time_p[b - 1])
-            record = touched[epc_value]
+        for epc_id, reader_id, count, t_last in zip(
+            eid_p[starts2].tolist(),
+            reader_p[starts2].tolist(),
+            (ends2 - starts2).tolist(),
+            time_p[ends2 - 1].tolist(),
+        ):
+            record = records[uniq_epcs[epc_id]]
             record.reports_by_reader[reader_id] = (
-                record.reports_by_reader.get(reader_id, 0) + (b - a)
+                record.reports_by_reader.get(reader_id, 0) + count
             )
             previous = record.last_seen_by_reader.get(reader_id)
             if previous is None or t_last > previous:
                 record.last_seen_by_reader[reader_id] = t_last
             self._by_reader[reader_id] = (
-                self._by_reader.get(reader_id, 0) + (b - a)
+                self._by_reader.get(reader_id, 0) + count
             )
             watermark = self._max_time_by_reader.get(reader_id)
             if watermark is None or t_last > watermark:
@@ -484,11 +610,14 @@ class FusionLayer:
 
     # ------------------------------------------------------------------
     def reports(self) -> List[TagReport]:
-        """Every distinct fused report, in arbitration order."""
-        return sorted(
-            self._reports.values(),
-            key=lambda r: (r.epc_value,) + r.arbitration_order,
-        )
+        """Every distinct fused report, by EPC, then arbitration order."""
+        out = []
+        for key in sorted(self._reports, key=_report_order):
+            report = self._reports[key]
+            if report is None:
+                report = self._reports[key] = TagReport(*key)
+            out.append(report)
+        return out
 
     def records(self) -> List[FusedRecord]:
         """Per-EPC fused records, ascending by EPC value."""
@@ -523,8 +652,8 @@ class FusionLayer:
             for reader in sorted(self._by_reader)
         }
 
-    def snapshot(self) -> Dict[str, object]:
-        """Canonical, byte-stable summary of the fused inventory."""
+    def _snapshot_head(self) -> Dict[str, object]:
+        """The :meth:`snapshot` members other than ``records``."""
         return {
             "n_epcs": len(self._records),
             "n_reports": self.n_reports,
@@ -532,11 +661,32 @@ class FusionLayer:
                 str(reader): count
                 for reader, count in self.reports_by_reader().items()
             },
-            "records": [record.to_dict() for record in self.records()],
         }
+
+    def snapshot(self) -> Dict[str, object]:
+        """Canonical, byte-stable summary of the fused inventory."""
+        snapshot = self._snapshot_head()
+        snapshot["records"] = [record.to_dict() for record in self.records()]
+        return snapshot
+
+    def render_snapshot(self, pad: str) -> str:
+        """:meth:`snapshot` as canonical JSON text nested at ``pad``.
+
+        The records go through :func:`render_records`, the other members
+        through :func:`json.dumps`.
+        """
+        inner = pad + "  "
+        members = {
+            key: dumps_at(value, inner)
+            for key, value in self._snapshot_head().items()
+        }
+        members["records"] = render_records(
+            self.records(), self._latest_key, inner
+        )
+        return render_object(members, pad)
 
     def copy(self) -> "FusionLayer":
         """An independent layer holding the same fused reports."""
         duplicate = FusionLayer(engine=self.engine)
-        duplicate.ingest_many(self._reports.values())
+        duplicate.ingest_many(self.reports())
         return duplicate

@@ -14,9 +14,9 @@ so each reader's simulation is a pure function of ``(config, reader_id)``.
 That purity is what makes sharding trivial *and* provable:
 :func:`simulate_site` hands one task per reader to
 :func:`repro.experiments.parallel.parallel_map` (one worker per reader
-group), merges the report batches through the
+group), folds every reader's report rows through the
 :class:`~repro.site.fusion.FusionLayer` (a commutative, idempotent fold)
-in reader order, and absorbs worker traces in the same order — so
+in one batch, and absorbs worker traces in reader order — so
 ``workers=N`` is byte-identical to ``workers=1`` for every N.  The
 differential tests in ``tests/site/test_differential.py`` pin exactly
 that, over several topologies and hypothesis-drawn seeds.
@@ -24,7 +24,6 @@ that, over several topologies and hypothesis-drawn seeds.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -39,8 +38,14 @@ from repro.gen2.inventory import InventoryLog
 from repro.obs.tracer import get_tracer
 from repro.reader.reader import SimReader
 from repro.site.channels import ChannelCoordinator
-from repro.site.fusion import FusionLayer, TagReport
+from repro.site.fusion import FusionLayer, TagReport, render_rows
 from repro.site.topology import SiteTopology
+from repro.util.jsontext import (
+    document_bytes,
+    dumps_at,
+    render_array,
+    render_object,
+)
 from repro.util.rng import RngStream
 from repro.world.motion import CircularPath, Stationary
 from repro.world.scene import Antenna, Scene, TagInstance
@@ -563,14 +568,46 @@ class SiteRun:
             "config": self.config.to_dict(),
             "readers": self.reader_summaries,
             "fusion": self.fusion.snapshot(),
-            "missed": [format(v, "x") for v in self.missed_epc_values()],
+            "missed": self._missed_hex(),
         }
 
+    def _missed_hex(self) -> List[str]:
+        return [format(v, "x") for v in self.missed_epc_values()]
+
     def canonical_bytes(self) -> bytes:
-        """:meth:`canonical` rendered to the exact comparison bytes."""
-        return (
-            json.dumps(self.canonical(), indent=2, sort_keys=True) + "\n"
-        ).encode("utf-8")
+        """:meth:`canonical` rendered to the exact comparison bytes.
+
+        Byte for byte ``json.dumps(self.canonical(), indent=2,
+        sort_keys=True) + "\\n"``, rendered straight from the reader rows
+        and the fusion state (:func:`render_rows`,
+        :meth:`FusionLayer.render_snapshot`) instead of through the
+        pure-Python indenting encoder.  The stdlib rendering of
+        :meth:`canonical` stays the oracle.
+        """
+        reader_pad = "    "
+        field_pad = reader_pad + "  "
+        readers = [
+            render_object(
+                {
+                    key: (
+                        render_rows(value, field_pad)
+                        if key == "reports"
+                        else dumps_at(value, field_pad)
+                    )
+                    for key, value in summary.items()
+                },
+                reader_pad,
+            )
+            for summary in self.reader_summaries
+        ]
+        return document_bytes(
+            {
+                "config": dumps_at(self.config.to_dict(), "  "),
+                "readers": render_array(readers, "  "),
+                "fusion": self.fusion.render_snapshot("  "),
+                "missed": dumps_at(self._missed_hex(), "  "),
+            }
+        )
 
 
 def simulate_site(
@@ -604,8 +641,11 @@ def simulate_site(
     ]
     summaries = parallel_map(_simulate_reader, tasks, workers=workers)
     fusion = FusionLayer(engine=fusion_engine)
-    for summary in summaries:
-        fusion.ingest_rows(summary["reports"])
+    # The fold is commutative: one batch of every reader's rows fuses to
+    # the same state as one batch per reader, in a single pass.
+    fusion.ingest_rows(
+        [row for summary in summaries for row in summary["reports"]]
+    )
     return SiteRun(
         config=config,
         reader_summaries=summaries,

@@ -59,6 +59,7 @@ from repro.site.site import (
     site_epcs,
     site_tags,
 )
+from repro.util.jsontext import document_bytes, dumps_at
 
 __all__ = [
     "SitePolicy",
@@ -278,15 +279,14 @@ class SiteChaosReport:
         return [v for v in self.truth_epc_values if v not in seen]
 
     # ------------------------------------------------------------------
-    def canonical(self) -> Dict[str, object]:
-        """Canonical payload — the workers-differential comparison surface."""
+    def _canonical_parts(self) -> Dict[str, object]:
+        """The :meth:`canonical` members other than ``fusion``."""
         return {
             "config": self.config.to_dict(),
             "policy": self.policy.to_dict(),
             "n_epochs": self.n_epochs,
             "epochs": self.epoch_records,
             "episodes": [e.to_dict() for e in self.episodes],
-            "fusion": self.fusion.snapshot(),
             "missed": [format(v, "x") for v in self.missed_epc_values()],
             "violations": [str(v) for v in self.violations],
             "n_replans": self.n_replans,
@@ -296,11 +296,26 @@ class SiteChaosReport:
             "incidents": self.incidents,
         }
 
+    def canonical(self) -> Dict[str, object]:
+        """Canonical payload — the workers-differential comparison surface."""
+        payload = self._canonical_parts()
+        payload["fusion"] = self.fusion.snapshot()
+        return payload
+
     def canonical_bytes(self) -> bytes:
-        """The canonical payload as stable JSON bytes (differential surface)."""
-        return (
-            json.dumps(self.canonical(), indent=2, sort_keys=True) + "\n"
-        ).encode("utf-8")
+        """The canonical payload as stable JSON bytes (differential surface).
+
+        Byte for byte ``json.dumps(self.canonical(), indent=2,
+        sort_keys=True) + "\\n"``, with the fusion state rendered by
+        :meth:`FusionLayer.render_snapshot`; the stdlib rendering of
+        :meth:`canonical` stays the oracle.
+        """
+        members = {
+            key: dumps_at(value, "  ")
+            for key, value in self._canonical_parts().items()
+        }
+        members["fusion"] = self.fusion.render_snapshot("  ")
+        return document_bytes(members)
 
     def to_dict(self) -> Dict[str, object]:
         """Canonical payload plus the derived pass/fail headline fields."""
@@ -470,8 +485,9 @@ class SiteSupervisor:
         summaries = parallel_map(
             _simulate_reader_epoch, tasks, workers=workers
         )
-        for summary in summaries:
-            self.fusion.ingest_rows(summary["reports"])
+        self.fusion.ingest_rows(
+            [row for summary in summaries for row in summary["reports"]]
+        )
 
         # Watchdog: silence bookkeeping in ascending reader order.
         newly_dead: List[int] = []

@@ -12,20 +12,9 @@ observable surface.
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.site import fusion
 from repro.site.fusion import FUSION_ENGINES, FusionLayer, TagReport
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _force_columnar_path():
-    """Drop the columnar batch floor so small hypothesis batches take the
-    vectorised path instead of falling back to the scalar loop."""
-    original = fusion._COLUMNAR_MIN_BATCH
-    fusion._COLUMNAR_MIN_BATCH = 2
-    yield
-    fusion._COLUMNAR_MIN_BATCH = original
 
 
 # Small domains force key collisions (exact replays) alongside distinct
@@ -41,6 +30,8 @@ reports = st.builds(
     rss_dbm=st.floats(-80.0, -40.0, allow_nan=False),
 )
 
+# Every batch size takes the columnar path, so the draws cover empty,
+# single-row and small (< 32 rows) batches as well as larger ones.
 report_batches = st.lists(reports, max_size=40)
 
 
@@ -66,6 +57,8 @@ def _reference_fold(batches):
 
 @settings(max_examples=80, deadline=None)
 @given(report_batches)
+@example([])
+@example([TagReport(1, 0, 0.25, 0, 1, 1.5, -60.0)])
 def test_ingest_many_matches_reference(batch):
     """One columnar batch fuses to the exact scalar-ingest state."""
     columnar = FusionLayer(engine="columnar")
@@ -122,6 +115,37 @@ def test_columnar_order_insensitive(batch, rng):
     b = FusionLayer(engine="columnar")
     b.ingest_many(shuffled)
     assert _state_bytes(a) == _state_bytes(b)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 31, 32, 33])
+def test_every_batch_size_matches_reference(size):
+    """Small batches take the columnar path too, with no scalar detour.
+
+    Reports come in pairs whose times differ below the key precision, so
+    each pair is one read (in-batch dedup); the rows are then fed again
+    (cross-batch dedup).
+    """
+    batch = [
+        TagReport(
+            epc_value=1 + i // 2 % 5,
+            reader_id=i // 2 % 3,
+            time_s=0.125 * (i // 2 % 7) + 1e-12 * i,
+            antenna_index=i // 2 % 2,
+            channel_index=i // 2 % 4,
+            phase_rad=0.1 * (i // 2 % 6),
+            rss_dbm=-50.0 - i // 2 % 3,
+        )
+        for i in range(size)
+    ]
+    rows = [r.to_row() for r in batch]
+    columnar = FusionLayer(engine="columnar")
+    assert columnar.ingest_many(batch) == columnar.n_reports
+    assert columnar.ingest_rows(rows) == 0
+    by_rows = FusionLayer(engine="columnar")
+    by_rows.ingest_rows(rows)
+    reference = _reference_fold([batch, batch])
+    assert _state_bytes(columnar) == _state_bytes(reference)
+    assert _state_bytes(by_rows) == _state_bytes(reference)
 
 
 def test_engine_registry_and_copy_preserve_engine():
