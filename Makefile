@@ -62,9 +62,10 @@ site-smoke:
 
 # Site-scale smoke: a 12-reader/2k-tag aisle big enough for the
 # visibility cull and the columnar fusion engine to actually engage.
-# --check-differential re-runs the site sequentially with culling off and
-# the reference fusion engine, so one byte-equality check crosses every
-# fast-path switch at once (docs/site.md#scaling-to-10k100k-tags).
+# --check-differential re-runs the site sequentially under
+# REPRO_REFERENCE=1 (reference slot walk, no culling, scalar fusion), so
+# one byte-equality check crosses every fast-path switch at once
+# (docs/site.md#scaling-to-10k100k-tags).
 site-scale-smoke:
 	python -m repro site --layout line --readers 12 --tags 2000 \
 		--duration 0.25 --workers 4 --check-differential \

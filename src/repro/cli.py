@@ -40,10 +40,9 @@ Commands
     Simulate a multi-reader warehouse site (overlapping coverage, channel
     coordination, reader-to-reader interference) sharded across the
     process pool, fuse the per-reader reports, and run the site invariant
-    suite.  ``--no-cull`` / ``--fusion reference`` disable the
-    visibility-culled shards and the columnar fusion engine;
-    ``--check-differential`` re-runs sequentially with both off and fails
-    unless the result is byte-identical (see ``docs/site.md``).
+    suite.  ``--check-differential`` re-runs the site sequentially in
+    reference mode and fails unless the result is byte-identical (see
+    ``docs/site.md``).
 ``site --chaos [--epochs N --outages K --bundle-dir D]``
     Run the site under a :class:`~repro.site.supervisor.SiteSupervisor`
     with a seeded fault plan killing readers mid-run: watchdog detection,
@@ -54,20 +53,21 @@ Commands
 Every subcommand accepts ``--trace-out F`` (simulation-time trace; Chrome
 trace-event JSON by default, ``--trace-format jsonl`` for the event log),
 ``--metrics-out F`` (telemetry registry; JSON, or Prometheus text when
-``F`` ends in ``.prom``/``.txt``), and ``--engine E`` (inventory kernel:
-``calendar``/``reference``; overrides the
-``REPRO_INVENTORY_ENGINE`` environment variable).  See
-``docs/observability.md``.
+``F`` ends in ``.prom``/``.txt``).  See ``docs/observability.md``.
+
+``REPRO_REFERENCE=1 python -m repro ...`` runs any subcommand with every
+fast path — the C inventory kernel, visibility culling, columnar fusion —
+switched to its plain oracle (:mod:`repro.runtime.oracle`); the output is
+byte-identical, only slower.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from contextlib import ExitStack, contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from contextlib import ExitStack
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core import TagwatchConfig
 from repro.core.analysis import breakeven_percent, predicted_gain
@@ -481,7 +481,7 @@ def _cmd_site_chaos(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.experiments import site_soak
-    from repro.obs.health import FlightRecorder, list_bundles, validate_bundle
+    from repro.obs.health import FlightRecorder
 
     config = site_soak.SiteSoakConfig(
         n_readers=_pick(args.readers, 6),
@@ -495,93 +495,110 @@ def _cmd_site_chaos(args: argparse.Namespace) -> int:
         n_channels=_pick(args.channels, 8),
         n_outages=args.outages,
     )
-    differential_ok: Optional[bool] = None
-    report_bytes: Optional[bytes] = None
     with tempfile.TemporaryDirectory(prefix="repro-site-chaos-") as tmp:
-        recorder = FlightRecorder() if args.bundle_dir else None
         outer_tracer = get_tracer()
-        with ExitStack() as stack:
-            if recorder is not None:
-                stack.enter_context(use_tracer(recorder))
-            report = site_soak.run(
-                config,
-                workers=args.workers,
-                recorder=recorder,
-                bundle_dir=args.bundle_dir or None,
-                checkpoint_path=str(Path(tmp) / "site.ckpt"),
-            )
-        if recorder is not None and outer_tracer.enabled:
-            # The recorder shadowed the ambient tracer while it fed the
-            # incident bundles; replay its ring so --trace-out still sees
-            # the run.
-            outer_tracer.absorb(recorder.records)
-        if args.check_differential:
-            # The sequential reference mirrors the bundle wiring (bundle
-            # names land in the canonical payload) into a throwaway dir.
-            mirror = FlightRecorder() if args.bundle_dir else None
+        legs: List[Optional[int]] = []
+
+        def leg(workers: Optional[int]):
+            # The first leg is the real run; the differential's reference
+            # leg mirrors its bundle wiring (bundle names land in the
+            # canonical payload) into the scratch directory.
+            mirror = bool(legs)
+            legs.append(workers)
+            recorder = FlightRecorder() if args.bundle_dir else None
             with ExitStack() as stack:
-                if mirror is not None:
-                    stack.enter_context(use_tracer(mirror))
-                reference = site_soak.run(
+                if recorder is not None:
+                    stack.enter_context(use_tracer(recorder))
+                report = site_soak.run(
                     config,
-                    workers=1,
-                    recorder=mirror,
+                    workers=workers,
+                    recorder=recorder,
                     bundle_dir=(
                         str(Path(tmp) / "mirror-bundles")
-                        if args.bundle_dir
-                        else None
+                        if mirror and args.bundle_dir
+                        else args.bundle_dir or None
                     ),
-                    checkpoint_path=str(Path(tmp) / "mirror.ckpt"),
+                    checkpoint_path=str(
+                        Path(tmp) / ("mirror.ckpt" if mirror else "site.ckpt")
+                    ),
                 )
-            # The reference leg renders through stdlib JSON, so the check
-            # also crosses the canonical-bytes writer.
-            report_bytes = report.canonical_bytes()
-            differential_ok = (
-                _stdlib_canonical_bytes(reference) == report_bytes
-            )
+            if recorder is not None and not mirror and outer_tracer.enabled:
+                # The recorder shadowed the ambient tracer while it fed the
+                # incident bundles; replay its ring so --trace-out still
+                # sees the run.
+                outer_tracer.absorb(recorder.records)
+            return report
+
+        report, mismatch = _run_legs(leg, args)
     _log.info(site_soak.format_report(config, report))
     code = 0 if report.ok else 1
     for violation in report.violations:
         _log.error(f"invariant violation: {violation}")
-    if differential_ok is False:
-        _log.error(
-            "differential check FAILED: sharded chaos run diverges from "
-            "the sequential reference"
-        )
-        code = 1
-    elif differential_ok:
-        _log.info(
-            "differential check: sharded chaos run byte-identical to "
-            "sequential reference (stdlib JSON)"
-        )
+    if args.check_differential:
+        code = max(code, _log_differential(mismatch, "sharded chaos run"))
     if args.bundle_dir:
-        bundles = list_bundles(args.bundle_dir)
-        for path in bundles:
-            problems = validate_bundle(path)
-            if problems:
-                for problem in problems:
-                    _log.error(f"{path.name}: {problem}")
-                code = 1
-        _log.info(
-            f"{len(bundles)} incident bundle(s) in {args.bundle_dir}"
-            + ("" if code == 0 else " — validation FAILED")
-        )
+        code = max(code, _validate_bundles(args.bundle_dir))
     if args.out:
         with open(args.out, "wb") as handle:
-            handle.write(
-                report_bytes
-                if report_bytes is not None
-                else report.canonical_bytes()
-            )
+            handle.write(report.canonical_bytes())
         _log.info(f"wrote {args.out}")
     return code
 
 
-def _stdlib_canonical_bytes(report) -> bytes:
-    """``report.canonical()`` through stdlib JSON: the writer's oracle."""
-    return (
-        json.dumps(report.canonical(), indent=2, sort_keys=True) + "\n"
-    ).encode("utf-8")
+def _run_legs(leg: Callable, args: argparse.Namespace) -> tuple:
+    """``(leg(args.workers), mismatch)``, checked when asked.
+
+    Under ``--check-differential`` the run goes through
+    :func:`~repro.runtime.oracle.differential`, which calls ``leg`` a
+    second time, sequentially in reference mode; otherwise the mismatch
+    is ``None``.
+    """
+    if not args.check_differential:
+        return leg(args.workers), None
+    from repro.runtime.oracle import differential
+
+    reports: list = []
+
+    def kept(workers: Optional[int]):
+        reports.append(leg(workers))
+        return reports[-1]
+
+    mismatch = differential(kept, args.workers)
+    return reports[0], mismatch
+
+
+def _log_differential(mismatch, what: str) -> int:
+    """Log the differential verdict for ``what``; the exit code it earns."""
+    if mismatch is not None:
+        _log.error(
+            f"differential check FAILED: {what} diverges from the "
+            f"sequential reference-mode run ({mismatch})"
+        )
+        return 1
+    _log.info(
+        f"differential check: {what} byte-identical to the sequential "
+        "reference-mode run (stdlib JSON)"
+    )
+    return 0
+
+
+def _validate_bundles(bundle_dir: str) -> int:
+    """Validate every incident bundle in ``bundle_dir``; 1 if any fails."""
+    from repro.obs.health import list_bundles, validate_bundle
+
+    code = 0
+    bundles = list_bundles(bundle_dir)
+    for path in bundles:
+        problems = validate_bundle(path)
+        for problem in problems:
+            _log.error(f"{path.name}: {problem}")
+        if problems:
+            code = 1
+    _log.info(
+        f"{len(bundles)} incident bundle(s) in {bundle_dir}"
+        + ("" if code == 0 else " — validation FAILED")
+    )
+    return code
 
 
 def cmd_site(args: argparse.Namespace) -> int:
@@ -606,9 +623,8 @@ def cmd_site(args: argparse.Namespace) -> int:
         base_read_loss=_pick(args.loss, 0.2),
         coordinator=ChannelCoordinator(n_channels=_pick(args.channels, 16)),
     )
-    cull = None if not args.no_cull else False
-    run = simulate_site(
-        config, workers=args.workers, cull=cull, fusion_engine=args.fusion
+    run, mismatch = _run_legs(
+        lambda workers: simulate_site(config, workers=workers), args
     )
     per_reader = run.reports_per_reader()
     rows = [
@@ -649,33 +665,11 @@ def cmd_site(args: argparse.Namespace) -> int:
         f"(budget {health['policy']['redundancy_budget']:.0f}x), "
         f"{health['n_slo_alerts']} SLO alert(s)"
     )
-    run_bytes: Optional[bytes] = None
     if args.check_differential:
-        # The reference leg deliberately crosses every fast-path switch at
-        # once: sequential, unculled shards, scalar fusion, and stdlib JSON
-        # instead of the canonical-bytes writer.  Byte equality against
-        # the (default) culled/columnar sharded run pins all four
-        # optimisations as behaviour-neutral in one check.
-        reference = simulate_site(
-            config, workers=1, cull=False, fusion_engine="reference"
-        )
-        run_bytes = run.canonical_bytes()
-        if _stdlib_canonical_bytes(reference) != run_bytes:
-            _log.error(
-                "differential check FAILED: sharded culled/columnar run "
-                "diverges from the sequential unculled/reference run"
-            )
-            code = 1
-        else:
-            _log.info(
-                "differential check: sharded run byte-identical to the "
-                "sequential unculled/reference-fusion run (stdlib JSON)"
-            )
+        code = max(code, _log_differential(mismatch, "sharded run"))
     if args.out:
         with open(args.out, "wb") as handle:
-            handle.write(
-                run_bytes if run_bytes is not None else run.canonical_bytes()
-            )
+            handle.write(run.canonical_bytes())
         _log.info(f"wrote {args.out}")
     return code
 
@@ -686,12 +680,7 @@ def cmd_health(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.faults import FaultPlan
-    from repro.obs.health import (
-        FlightRecorder,
-        HealthMonitor,
-        list_bundles,
-        validate_bundle,
-    )
+    from repro.obs.health import FlightRecorder, HealthMonitor
     from repro.runtime import (
         CheckpointStore,
         Supervisor,
@@ -760,20 +749,7 @@ def cmd_health(args: argparse.Namespace) -> int:
         _log.info(f"wrote {args.out}")
     else:
         _log.info(json.dumps(report, indent=2, sort_keys=True))
-    code = 0
-    if args.bundle_dir:
-        bundles = list_bundles(args.bundle_dir)
-        for path in bundles:
-            problems = validate_bundle(path)
-            if problems:
-                for problem in problems:
-                    _log.error(f"{path.name}: {problem}")
-                code = 1
-        _log.info(
-            f"{len(bundles)} incident bundle(s) in {args.bundle_dir}"
-            + ("" if code == 0 else " — validation FAILED")
-        )
-    return code
+    return _validate_bundles(args.bundle_dir) if args.bundle_dir else 0
 
 
 def cmd_rospec(args: argparse.Namespace) -> int:
@@ -883,13 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out", default="",
         help="write telemetry metrics here (JSON; .prom/.txt: Prometheus text)",
     )
-    engine_parent = argparse.ArgumentParser(add_help=False)
-    engine_parent.add_argument(
-        "--engine", choices=("calendar", "reference"), default=None,
-        help="inventory kernel; overrides the REPRO_INVENTORY_ENGINE "
-        "environment variable (default: calendar)",
-    )
-    obs_parents = [trace_parent, metrics_parent, engine_parent]
+    obs_parents = [trace_parent, metrics_parent]
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -938,7 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_faults = sub.add_parser(
         "faults", help="run Tagwatch under injected faults, export metrics",
-        parents=[trace_parent, engine_parent],
+        parents=[trace_parent],
     )
     p_faults.add_argument("--tags", type=int, default=20)
     p_faults.add_argument("--mobile", type=int, default=1)
@@ -1073,18 +1043,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_site.add_argument(
         "--check-differential", action="store_true",
-        help="also run sequentially with culling off and the reference "
-        "fusion engine, and fail unless byte-identical",
-    )
-    p_site.add_argument(
-        "--no-cull", action="store_true",
-        help="disable visibility culling (every shard simulates the full "
-        "tag field; behaviour-neutral, for differential debugging)",
-    )
-    p_site.add_argument(
-        "--fusion", choices=("columnar", "reference"), default=None,
-        help="fusion engine; overrides REPRO_FUSION_ENGINE "
-        "(default: columnar)",
+        help="also run sequentially in reference mode (REPRO_REFERENCE=1) "
+        "and fail unless byte-identical",
     )
     p_site.add_argument(
         "--out", default="", help="write the canonical site payload here"
@@ -1239,25 +1199,6 @@ def _write_metrics(registry: MetricsRegistry, path: str) -> None:
             handle.write("\n")
 
 
-@contextmanager
-def _use_engine(engine: str) -> Iterator[None]:
-    """Pin ``REPRO_INVENTORY_ENGINE`` for one subcommand; the flag wins.
-
-    Worker subprocesses inherit the environment, so the override reaches
-    sharded runs too; restoring the previous value keeps in-process
-    callers (tests invoking :func:`main` directly) side-effect free.
-    """
-    previous = os.environ.get("REPRO_INVENTORY_ENGINE")
-    os.environ["REPRO_INVENTORY_ENGINE"] = engine
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_INVENTORY_ENGINE", None)
-        else:
-            os.environ["REPRO_INVENTORY_ENGINE"] = previous
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
@@ -1278,9 +1219,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             stack.enter_context(use_tracer(tracer))
         if registry is not None:
             stack.enter_context(use_metrics(registry))
-        engine = getattr(args, "engine", None)
-        if engine:
-            stack.enter_context(_use_engine(engine))
         code = COMMANDS[args.command](args)
     if tracer is not None:
         if args.trace_format == "jsonl":

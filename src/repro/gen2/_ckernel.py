@@ -27,9 +27,9 @@ generator state afterwards are bit-for-bit identical to the reference:
 
 The kernel is OPTIONAL.  It is compiled on first use with the system C
 compiler into a cache directory and loaded via :mod:`ctypes`; when no
-compiler is available (or ``REPRO_CALENDAR_CKERNEL=0``), the calendar
-engine falls back to the reference walk, which is always correct — only
-slower.  Nothing is downloaded and no third-party package is required.
+compiler is available, the calendar engine falls back to the reference
+walk, which is always correct — only slower.  Nothing is downloaded and
+no third-party package is required.
 """
 
 from __future__ import annotations
@@ -295,17 +295,14 @@ _LOAD_ATTEMPTED = False
 def load_kernel() -> Optional[ctypes.CDLL]:
     """Compile (once) and load the C kernel; ``None`` when unavailable.
 
-    Gated by ``REPRO_CALENDAR_CKERNEL`` (set to ``0`` to force the
-    reference-walk fallback, e.g. to benchmark it or on systems without a C
-    compiler).  The build is cached per source hash, so subsequent runs
-    only pay a ``dlopen``.
+    The build is cached per source hash, so subsequent runs only pay a
+    ``dlopen``.  To run the reference walk instead, set
+    ``REPRO_REFERENCE=1`` (:mod:`repro.runtime.oracle`).
     """
     global _LOADED, _LOAD_ATTEMPTED
     if _LOAD_ATTEMPTED:
         return _LOADED
     _LOAD_ATTEMPTED = True
-    if os.environ.get("REPRO_CALENDAR_CKERNEL", "1") in ("0", "false", "no"):
-        return None
     so_path = os.path.join(
         _build_dir(), f"repro_round_{kernel_source_hash()}.so"
     )

@@ -37,8 +37,7 @@ class CalendarKernel:
     """Loaded C kernel plus reusable scratch for one :class:`InventoryEngine`.
 
     ``fn`` is ``None`` when the compiled kernel is unavailable (no C
-    compiler, or disabled via ``REPRO_CALENDAR_CKERNEL=0``); callers must
-    then use the reference walk.
+    compiler); callers must then use the reference walk.
     """
 
     __slots__ = (

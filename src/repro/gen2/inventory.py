@@ -34,13 +34,12 @@ seeds:
   exactly.
 - ``engine="reference"`` consumes slot outcomes one at a time with one
   ``numpy`` draw per frame; it is the differential-testing oracle (see
-  ``tests/gen2/test_calendar_engine.py``) and can be forced globally via
-  the ``REPRO_INVENTORY_ENGINE`` environment variable.
+  ``tests/gen2/test_calendar_engine.py``) and is the default under
+  ``REPRO_REFERENCE=1`` (:mod:`repro.runtime.oracle`).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
@@ -49,6 +48,7 @@ import numpy as np
 from repro.gen2.aloha import FixedQ, FrameStrategy, QAdaptive, SlotOutcome
 from repro.gen2.timing import LinkTiming
 from repro.obs.tracer import get_tracer
+from repro.runtime.oracle import reference_enabled
 from repro.util.rng import SeedLike, make_rng
 
 
@@ -122,9 +122,8 @@ class InventoryEngine:
     engine:
         ``"calendar"`` (compiled event-calendar kernel, the default) or
         ``"reference"`` (sequential slot walk).  Both produce identical
-        results for identical seeds; ``None`` reads the
-        ``REPRO_INVENTORY_ENGINE`` environment variable and defaults to
-        ``"calendar"``.
+        results for identical seeds; ``None`` picks ``"reference"`` under
+        ``REPRO_REFERENCE=1`` and ``"calendar"`` otherwise.
     """
 
     #: Hard cap on slots per round; prevents pathological strategies (e.g.
@@ -143,7 +142,7 @@ class InventoryEngine:
         if not 0.0 <= read_loss_probability < 1.0:
             raise ValueError("read loss probability must be in [0, 1)")
         if engine is None:
-            engine = os.environ.get("REPRO_INVENTORY_ENGINE", "calendar")
+            engine = "reference" if reference_enabled() else "calendar"
         if engine not in ("calendar", "reference"):
             raise ValueError(
                 f"engine must be 'calendar' or 'reference', got {engine!r}"

@@ -393,11 +393,10 @@ def _analyze(records: Sequence[object]) -> Dict[str, object]:
 def _engine_provenance(flight: bool) -> Dict[str, object]:
     """Which inventory engine ran, and whether the C kernel compiled."""
     from repro.gen2 import _ckernel
+    from repro.runtime.oracle import reference_enabled
 
     return {
-        "inventory_engine": os.environ.get(
-            "REPRO_INVENTORY_ENGINE", "calendar"
-        ),
+        "inventory_engine": "reference" if reference_enabled() else "calendar",
         "ckernel_compiled": _ckernel.load_kernel() is not None,
         "flight_recorder": flight,
     }

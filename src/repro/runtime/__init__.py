@@ -11,39 +11,37 @@ the machinery a real deployment needs to survive that:
   simulated time with a retry → full-inventory → supervised-restart
   escalation ladder, plus LLRP session recovery;
 - :mod:`repro.runtime.invariants` — runtime checkers the chaos soak
-  harness (:mod:`repro.experiments.soak`) asserts after every cycle.
+  harness (:mod:`repro.experiments.soak`) asserts after every cycle;
+- :mod:`repro.runtime.oracle` — the one ``REPRO_REFERENCE`` switch that
+  turns every fast path to its oracle, and the differential harness.
 
 See ``docs/robustness.md`` for the state machine and the soak harness.
 """
 
-from repro.runtime.checkpoint import (
-    CheckpointStore,
-    CheckpointUnavailable,
-    config_fingerprint,
-)
-from repro.runtime.invariants import (
-    InvariantSuite,
-    SiteInvariantSuite,
-    Violation,
-)
-from repro.runtime.supervisor import (
-    EscalationLevel,
-    SupervisedCycle,
-    Supervisor,
-    SupervisorConfig,
-    WatchdogPolicy,
-)
+import importlib
 
-__all__ = [
-    "CheckpointStore",
-    "CheckpointUnavailable",
-    "EscalationLevel",
-    "InvariantSuite",
-    "SiteInvariantSuite",
-    "SupervisedCycle",
-    "Supervisor",
-    "SupervisorConfig",
-    "Violation",
-    "WatchdogPolicy",
-    "config_fingerprint",
-]
+#: Public name -> submodule.  Loaded on first access, so that low layers
+#: (the inventory engine, fusion) can import :mod:`repro.runtime.oracle`
+#: without pulling in the supervisor stack above them.
+_EXPORTS = {
+    "CheckpointStore": "checkpoint",
+    "CheckpointUnavailable": "checkpoint",
+    "config_fingerprint": "checkpoint",
+    "InvariantSuite": "invariants",
+    "SiteInvariantSuite": "invariants",
+    "Violation": "invariants",
+    "EscalationLevel": "supervisor",
+    "SupervisedCycle": "supervisor",
+    "Supervisor": "supervisor",
+    "SupervisorConfig": "supervisor",
+    "WatchdogPolicy": "supervisor",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -23,13 +23,13 @@ a byte-identical :meth:`FusionLayer.snapshot`.  The property tests in
 sharded site runner relies on it to fuse worker outputs in any grouping.
 
 Two engines implement the fold.  ``engine="reference"`` is the original
-one-report-at-a-time scalar ingest; ``engine="columnar"`` (the default,
-togglable via ``REPRO_FUSION_ENGINE``) absorbs whole batches through a
-vectorized arbitration-order ``lexsort`` — dedup, per-EPC aggregation and
-winner selection all happen on numpy columns, and rows absorbed through
-:meth:`FusionLayer.ingest_rows` stay bare keys (only each EPC's latest
-sighting becomes a ``TagReport``) until :meth:`FusionLayer.reports` asks
-for them.  Both engines drive the exact same internal state, so every
+one-report-at-a-time scalar ingest (the default under
+``REPRO_REFERENCE=1``); ``engine="columnar"`` (the default) absorbs whole
+batches through a vectorized arbitration-order ``lexsort`` — dedup,
+per-EPC aggregation and winner selection all happen on numpy columns, and
+rows absorbed through :meth:`FusionLayer.ingest_rows` stay bare keys (only
+each EPC's latest sighting becomes a ``TagReport``) until
+:meth:`FusionLayer.reports` asks for them.  Both engines drive the exact same internal state, so every
 downstream surface (:meth:`FusionLayer.snapshot`, :meth:`reports`,
 :meth:`records`) is byte-identical between them — the differential
 property tests in ``tests/site/test_fusion_columnar.py`` pin that across
@@ -46,13 +46,13 @@ record, byte-identical to ``json.dumps(..., indent=2, sort_keys=True)``
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.radio.measurement import TagObservation
+from repro.runtime.oracle import reference_enabled
 from repro.util.jsontext import (
     dumps_at,
     json_nonfinite,
@@ -297,13 +297,8 @@ def render_records(
     return json_nonfinite(render_array(items, pad))
 
 
-#: Engines selectable via ``FusionLayer(engine=...)`` / REPRO_FUSION_ENGINE.
+#: Engines selectable via ``FusionLayer(engine=...)``.
 FUSION_ENGINES = ("columnar", "reference")
-
-
-def default_fusion_engine() -> str:
-    """The engine ``FusionLayer()`` picks (``REPRO_FUSION_ENGINE``)."""
-    return os.environ.get("REPRO_FUSION_ENGINE", "columnar")
 
 
 class FusionLayer:
@@ -317,7 +312,7 @@ class FusionLayer:
 
     def __init__(self, engine: Optional[str] = None) -> None:
         if engine is None:
-            engine = default_fusion_engine()
+            engine = "reference" if reference_enabled() else "columnar"
         if engine not in FUSION_ENGINES:
             raise ValueError(
                 f"unknown fusion engine {engine!r}; known: {FUSION_ENGINES}"

@@ -1,6 +1,6 @@
-"""The Site: N SimReaders over one tag field, sharded across the pool.
+"""A site: N SimReaders over one tag field, sharded across the pool.
 
-One :class:`Site` hosts one :class:`~repro.reader.SimReader` per
+A site hosts one :class:`~repro.reader.SimReader` per
 :class:`~repro.site.topology.ReaderPlacement`.  Every reader gets its own
 :class:`~repro.world.scene.Scene` view of the *same* tag population (same
 EPCs, same positions, same modulation phase offsets — all derived from the
@@ -25,7 +25,6 @@ that, over several topologies and hypothesis-drawn seeds.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -37,6 +36,7 @@ from repro.gen2.epc import EPC, random_epc_population
 from repro.gen2.inventory import InventoryLog
 from repro.obs.tracer import get_tracer
 from repro.reader.reader import SimReader
+from repro.runtime.oracle import reference_enabled
 from repro.site.channels import ChannelCoordinator
 from repro.site.fusion import FusionLayer, TagReport, render_rows
 from repro.site.topology import SiteTopology
@@ -53,13 +53,11 @@ from repro.world.scene import Antenna, Scene, TagInstance
 __all__ = [
     "SiteConfig",
     "SiteRun",
-    "Site",
     "simulate_site",
     "site_epcs",
     "site_tags",
     "mobile_tag_indices",
     "reachable_tag_indices",
-    "site_cull_enabled",
     "build_reader",
     "run_faulted_interval",
     "CULL_MARGIN_REL",
@@ -180,15 +178,6 @@ def site_epcs(config: SiteConfig) -> List[EPC]:
             _EPC_MEMO.clear()
         _EPC_MEMO[key] = epcs
     return epcs
-
-
-def site_cull_enabled() -> bool:
-    """Whether visibility culling is on (``REPRO_SITE_CULL``, default on)."""
-    return os.environ.get("REPRO_SITE_CULL", "1").lower() not in (
-        "0",
-        "off",
-        "false",
-    )
 
 
 def reachable_tag_indices(
@@ -332,8 +321,8 @@ def build_reader(
     (``seed_salt``) so epochs draw independent randomness.  All defaults
     reproduce the static-plan reader exactly.
 
-    ``cull`` controls the visibility fast path (default: the
-    ``REPRO_SITE_CULL`` environment toggle): when on, the scene is built
+    ``cull`` controls the visibility fast path (default: on, off under
+    ``REPRO_REFERENCE=1``): when on, the scene is built
     from :func:`reachable_tag_indices` only — behaviour-neutral by the
     margin argument documented there, but linear in the reader's *zone*
     rather than the whole site.  Culling uses the boosted range, so a
@@ -349,7 +338,7 @@ def build_reader(
             reader_id
         ]
     if cull is None:
-        cull = site_cull_enabled()
+        cull = not reference_enabled()
     indices = (
         reachable_tag_indices(config, reader_id, range_scale=range_scale)
         if cull
@@ -611,11 +600,7 @@ class SiteRun:
 
 
 def simulate_site(
-    config: SiteConfig,
-    workers: Optional[int] = None,
-    *,
-    cull: Optional[bool] = None,
-    fusion_engine: Optional[str] = None,
+    config: SiteConfig, workers: Optional[int] = None
 ) -> SiteRun:
     """Simulate every reader of the site; fuse reports in reader order.
 
@@ -624,23 +609,19 @@ def simulate_site(
     per reader fans out, which both saturates the pool for big sites and
     keeps each worker's RNG state private to one reader.
 
-    ``cull`` (default: the ``REPRO_SITE_CULL`` toggle) selects the
-    visibility-culled shards, and ``fusion_engine`` the
-    :class:`FusionLayer` implementation (default: the
-    ``REPRO_FUSION_ENGINE`` toggle, i.e. columnar).  Both fast paths are
-    behaviour-neutral: ``simulate_site(c, cull=False,
-    fusion_engine="reference")`` produces byte-identical
-    :meth:`SiteRun.canonical_bytes` at every worker count.
+    Visibility-culled shards and columnar fusion are on unless
+    ``REPRO_REFERENCE=1`` turns them (and the C kernel) to their oracles;
+    either way :meth:`SiteRun.canonical_bytes` is byte-identical at every
+    worker count (:func:`repro.runtime.oracle.differential`).
     """
-    if cull is None:
-        cull = site_cull_enabled()
+    cull = not reference_enabled()
     config_dict = config.to_dict()
     tasks: List[Tuple[Dict[str, object], int, bool]] = [
         (config_dict, placement.reader_id, cull)
         for placement in config.topology.readers
     ]
     summaries = parallel_map(_simulate_reader, tasks, workers=workers)
-    fusion = FusionLayer(engine=fusion_engine)
+    fusion = FusionLayer()
     # The fold is commutative: one batch of every reader's rows fuses to
     # the same state as one batch per reader, in a single pass.
     fusion.ingest_rows(
@@ -652,42 +633,3 @@ def simulate_site(
         fusion=fusion,
         truth_epc_values=sorted(epc.value for epc in site_epcs(config)),
     )
-
-
-class Site:
-    """A multi-reader deployment bound to one shared tag field.
-
-    Thin object face over the functional core: owns the config, lends out
-    per-reader :class:`SimReader` views for inspection, and runs the
-    sharded simulation.
-    """
-
-    def __init__(self, config: SiteConfig) -> None:
-        self.config = config
-
-    @property
-    def topology(self) -> SiteTopology:
-        return self.config.topology
-
-    @property
-    def n_readers(self) -> int:
-        return self.topology.n_readers
-
-    def reader(self, reader_id: int) -> SimReader:
-        """A freshly built (deterministic) reader for one placement."""
-        return build_reader(self.config, reader_id)
-
-    def readers(self) -> List[SimReader]:
-        """Fresh readers for every placement, in topology order."""
-        return [
-            build_reader(self.config, placement.reader_id)
-            for placement in self.topology.readers
-        ]
-
-    def epc_values(self) -> List[int]:
-        """Ground-truth tag identities, ascending."""
-        return sorted(epc.value for epc in site_epcs(self.config))
-
-    def simulate(self, workers: Optional[int] = None) -> SiteRun:
-        """Run the whole site for ``config.duration_s``; see module doc."""
-        return simulate_site(self.config, workers=workers)

@@ -18,7 +18,7 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.faults import FaultPlan, FaultyReader
 from repro.gen2 import _ckernel
@@ -346,21 +346,84 @@ def test_engine_pickles_without_kernel_state():
 
 
 # ----------------------------------------------------------------------
+# Fuzzing the C boundary
+# ----------------------------------------------------------------------
+def _slots_deadline(slots):
+    """A round budget of start-up plus ``slots`` empty slots (every other
+    slot is longer), so no example runs more than ``slots`` slots."""
+    return R420_PROFILE.startup_cost + slots * R420_PROFILE.empty_slot_duration
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["fixedq", "qadaptive", "dfsa"]),
+    q=st.sampled_from([0, 1, 4, 15]),
+    n_tags=st.sampled_from([0, 1, 7, 300]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    bit_generator=st.sampled_from(sorted(BIT_GENERATORS)),
+    with_replacement=st.booleans(),
+    loss=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.99)),
+    slots=st.integers(min_value=0, max_value=400),
+)
+@example(kind="fixedq", q=0, n_tags=300, seed=1, bit_generator="pcg64",
+         with_replacement=True, loss=0.99, slots=400)
+@example(kind="fixedq", q=15, n_tags=300, seed=2, bit_generator="mt19937",
+         with_replacement=False, loss=0.0, slots=400)
+@example(kind="fixedq", q=15, n_tags=1, seed=3, bit_generator="philox",
+         with_replacement=True, loss=0.5, slots=1)
+@example(kind="qadaptive", q=15, n_tags=0, seed=4, bit_generator="sfc64",
+         with_replacement=True, loss=0.99, slots=1)
+def test_kernel_boundary_matches_reference(
+    kind, q, n_tags, seed, bit_generator, with_replacement, loss, slots
+):
+    """Extreme inputs at the C call give the reference walk's rounds.
+
+    Per-round logs and the full generator state must match; rounds the
+    kernel refuses (no participants, a strategy it cannot express) must
+    come back through the reference walk rather than raise.
+    """
+    rounds = 2
+    signatures = {}
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_fallbacks(patch)
+        for name in ENGINES:
+            engine = _engine(
+                name,
+                _factory(kind, q),
+                np.random.Generator(BIT_GENERATORS[bit_generator](seed)),
+                with_replacement,
+                loss,
+            )
+            signatures[name] = _round_signatures(
+                engine, n_tags, rounds=rounds, deadline=_slots_deadline(slots)
+            )
+    assert signatures["calendar"] == signatures["reference"]
+    refused = n_tags == 0 or kind == "dfsa" or _ckernel.load_kernel() is None
+    assert calls.count("calendar") == (rounds if refused else 0)
+
+
+# ----------------------------------------------------------------------
 # Engine selection
 # ----------------------------------------------------------------------
 def test_env_var_selects_calendar(monkeypatch):
-    monkeypatch.delenv("REPRO_INVENTORY_ENGINE", raising=False)
+    """Unset or ``0``, ``REPRO_REFERENCE`` leaves the kernel the default."""
+    monkeypatch.delenv("REPRO_REFERENCE", raising=False)
     engine = InventoryEngine(R420_PROFILE, lambda: QAdaptive(initial_q=4))
     assert engine.engine == "calendar"
-    monkeypatch.setenv("REPRO_INVENTORY_ENGINE", "fast")
-    with pytest.raises(ValueError, match="'calendar' or 'reference'"):
-        InventoryEngine(R420_PROFILE, lambda: QAdaptive(initial_q=4))
+    monkeypatch.setenv("REPRO_REFERENCE", "0")
+    engine = InventoryEngine(R420_PROFILE, lambda: QAdaptive(initial_q=4))
+    assert engine.engine == "calendar"
 
 
 def test_engine_env_default(monkeypatch):
-    monkeypatch.setenv("REPRO_INVENTORY_ENGINE", "reference")
+    monkeypatch.setenv("REPRO_REFERENCE", "1")
     engine = InventoryEngine(R420_PROFILE, lambda: QAdaptive(initial_q=4))
     assert engine.engine == "reference"
+    # An explicit engine still wins over the mode.
+    engine = InventoryEngine(
+        R420_PROFILE, lambda: QAdaptive(initial_q=4), engine="calendar"
+    )
+    assert engine.engine == "calendar"
 
 
 def test_engine_rejects_unknown():

@@ -5,9 +5,9 @@ power (``reachable_tag_indices``), with a guard band three orders of
 magnitude wider than the scene's own range fold.  These properties pin the
 two halves of that argument on drawn topologies and seeds:
 
-- *neutrality* — the culled simulation's canonical payload is
-  byte-identical to the unculled one (with the reference fusion engine on
-  both sides, so the check isolates the cull);
+- *neutrality* — every reader's culled shard
+  (``build_reader(..., cull=True)``) reports exactly what its full shard
+  (``cull=False``) does, before fusion, so the check isolates the cull;
 - *safety* — every tag a reader actually reports in the full simulation
   is inside its culled shard (the cull never drops a reachable tag);
 - *effectiveness* — on an aisle whose far end lies beyond the antenna
@@ -16,13 +16,9 @@ two halves of that argument on drawn topologies and seeds:
 
 from hypothesis import given, settings, strategies as st
 
+from repro.site import site
 from repro.site.channels import ChannelCoordinator
-from repro.site.site import (
-    SiteConfig,
-    reachable_tag_indices,
-    simulate_site,
-    site_epcs,
-)
+from repro.site.site import SiteConfig, reachable_tag_indices, site_epcs
 from repro.site.topology import line_site, ring_site
 
 
@@ -43,6 +39,14 @@ def _config(layout, n_readers, n_tags, seed, loss, n_mobile):
     )
 
 
+def _shards(config, cull):
+    """Every reader's run summary, built with ``build_reader(cull=cull)``."""
+    return [
+        site._simulate_reader(config.to_dict(), placement.reader_id, cull)
+        for placement in config.topology.readers
+    ]
+
+
 site_settings = st.fixed_dictionaries(
     {
         "layout": st.sampled_from(["ring", "line"]),
@@ -58,15 +62,9 @@ site_settings = st.fixed_dictionaries(
 @settings(max_examples=12, deadline=None)
 @given(site_settings)
 def test_culled_site_is_byte_identical(params):
-    """Culled ≡ unculled, byte for byte, on drawn topologies and seeds."""
+    """Culled ≡ unculled, reader by reader, on drawn topologies and seeds."""
     config = _config(**params)
-    culled = simulate_site(
-        config, workers=1, cull=True, fusion_engine="reference"
-    )
-    full = simulate_site(
-        config, workers=1, cull=False, fusion_engine="reference"
-    )
-    assert culled.canonical_bytes() == full.canonical_bytes()
+    assert _shards(config, cull=True) == _shards(config, cull=False)
 
 
 @settings(max_examples=12, deadline=None)
@@ -75,10 +73,7 @@ def test_cull_keeps_every_reported_tag(params):
     """No reader ever reports an EPC its culled shard would have dropped."""
     config = _config(**params)
     epcs = site_epcs(config)
-    full = simulate_site(
-        config, workers=1, cull=False, fusion_engine="reference"
-    )
-    for summary in full.reader_summaries:
+    for summary in _shards(config, cull=False):
         indices = reachable_tag_indices(config, summary["reader_id"])
         if indices is None:
             continue  # nothing culled: trivially safe
@@ -118,7 +113,7 @@ def test_mobile_tags_culled_by_orbit_not_grid_slot():
     cannot power the tag's *grid slot* may still read it mid-orbit — the
     cull must use the trajectory's distance lower bound.  Neutrality on a
     mobile-heavy aisle pins exactly that: any shard that wrongly culled a
-    crossing tag would lose its reads and change the canonical payload.
+    crossing tag would lose its reads and change that reader's summary.
     """
     config = _config(
         layout="line", n_readers=6, n_tags=400, seed=1, loss=0.1, n_mobile=8
@@ -134,10 +129,4 @@ def test_mobile_tags_culled_by_orbit_not_grid_slot():
         kept_somewhere.update(set(indices) & mobile)
     # Orbits through the aisle pass at least one reader's zone.
     assert kept_somewhere
-    culled = simulate_site(
-        config, workers=1, cull=True, fusion_engine="reference"
-    )
-    full = simulate_site(
-        config, workers=1, cull=False, fusion_engine="reference"
-    )
-    assert culled.canonical_bytes() == full.canonical_bytes()
+    assert _shards(config, cull=True) == _shards(config, cull=False)

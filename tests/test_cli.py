@@ -180,46 +180,73 @@ class TestHealthCommand:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestEngineFlag:
-    def test_flag_overrides_env_and_restores_it(self, monkeypatch):
+class TestReferenceSwitch:
+    """``REPRO_REFERENCE`` is the one fast-path switch; the CLI has none."""
+
+    def test_commands_see_the_env_unchanged(self, monkeypatch):
         import os
 
         from repro import cli
 
-        monkeypatch.setenv("REPRO_INVENTORY_ENGINE", "reference")
+        monkeypatch.setenv("REPRO_REFERENCE", "1")
         seen = {}
 
         def spy(args):
-            seen["engine"] = os.environ.get("REPRO_INVENTORY_ENGINE")
+            seen["reference"] = os.environ.get("REPRO_REFERENCE")
             return 0
 
         monkeypatch.setitem(cli.COMMANDS, "figures", spy)
-        assert cli.main(["figures", "--engine", "calendar"]) == 0
-        assert seen["engine"] == "calendar"
-        # The previous value is back once the command returns.
-        assert os.environ["REPRO_INVENTORY_ENGINE"] == "reference"
-        # Without the flag, the env var (or the default) still rules.
         assert cli.main(["figures"]) == 0
-        assert seen["engine"] == "reference"
+        assert seen["reference"] == "1"
+        assert os.environ["REPRO_REFERENCE"] == "1"
 
-    def test_unset_env_stays_unset_after_the_flag(self, monkeypatch):
+    def test_unset_env_stays_unset(self, monkeypatch):
         import os
 
         from repro import cli
 
-        monkeypatch.delenv("REPRO_INVENTORY_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_REFERENCE", raising=False)
         monkeypatch.setitem(cli.COMMANDS, "figures", lambda args: 0)
-        assert cli.main(["figures", "--engine", "calendar"]) == 0
-        assert "REPRO_INVENTORY_ENGINE" not in os.environ
+        assert cli.main(["figures"]) == 0
+        assert "REPRO_REFERENCE" not in os.environ
 
-    def test_engine_flag_reaches_a_real_run(self, capsys):
-        # The reference engine is a drop-in: same results, slower path.
-        assert main(["figure", "fig3", "--engine", "reference"]) == 0
-        assert "TrackPoint" in capsys.readouterr().out
+    def test_reference_env_reaches_a_real_run(self, monkeypatch, capsys):
+        from repro.gen2.inventory import InventoryEngine
 
-    def test_bad_engine_rejected(self):
+        engines = []
+        run_round = InventoryEngine.run_round
+
+        def spy(self, *args, **kwargs):
+            engines.append(self.engine)
+            return run_round(self, *args, **kwargs)
+
+        monkeypatch.setattr(InventoryEngine, "run_round", spy)
+        argv = ["demo", "--tags", "8", "--cycles", "1", "--warmup", "2",
+                "--phase2", "0.5"]
+        monkeypatch.delenv("REPRO_REFERENCE", raising=False)
+        assert main(argv) == 0
+        fast = capsys.readouterr().out
+        assert engines and set(engines) == {"calendar"}
+        engines.clear()
+        monkeypatch.setenv("REPRO_REFERENCE", "1")
+        # The reference walk is a drop-in: same results, slower path.
+        assert main(argv) == 0
+        assert capsys.readouterr().out == fast
+        assert engines and set(engines) == {"reference"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figures", "--engine", "reference"],
+            ["site", "--engine", "calendar"],
+            ["site", "--no-cull"],
+            ["site", "--fusion", "reference"],
+        ],
+        ids=["engine", "site-engine", "no-cull", "fusion"],
+    )
+    def test_removed_switch_flags_fail_to_parse(self, argv):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["figures", "--engine", "warp"])
+            build_parser().parse_args(argv)
 
 
 class TestSiteChaosCommand:
