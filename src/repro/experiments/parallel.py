@@ -81,12 +81,12 @@ def spawn_seeds(seed: int, n: int) -> List[int]:
     return [int(child.generate_state(1, np.uint64)[0]) for child in children]
 
 
-def _run_task(payload: Tuple[Callable, tuple, bool, str]) -> Tuple[Any, list]:
+def _run_task(payload: Tuple[Callable, tuple, bool]) -> Tuple[Any, list]:
     """Worker-side wrapper: run one task under a private tracer."""
-    fn, args, traced, detail = payload
+    fn, args, traced = payload
     if not traced:
         return fn(*args), []
-    tracer = Tracer(detail=detail)
+    tracer = Tracer()
     with use_tracer(tracer):
         result = fn(*args)
     return result, tracer.records
@@ -111,8 +111,7 @@ def parallel_map(
         return [fn(*t) for t in task_tuples]
     ambient = get_tracer()
     traced = bool(ambient.enabled)
-    detail = "frame" if getattr(ambient, "frame_detail", False) else "round"
-    payloads = [(fn, t, traced, detail) for t in task_tuples]
+    payloads = [(fn, t, traced) for t in task_tuples]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         outs = list(pool.map(_run_task, payloads))
     results: List[Any] = []

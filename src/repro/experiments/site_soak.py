@@ -87,6 +87,15 @@ class SiteSoakConfig:
             raise ValueError("downtime bounds must be positive and ordered")
         if self.n_outages < 0 or self.n_degradations < 0 or self.n_jams < 0:
             raise ValueError("fault counts must be non-negative")
+        try:
+            SiteFaultPlan(outages=tuple(_draw_outages(self, _plan_rng(self))))
+        except ValueError as exc:
+            raise ValueError(
+                f"n_outages={self.n_outages} do not fit in "
+                f"n_epochs={self.n_epochs} of {self.epoch_s} s over "
+                f"{self.n_readers} reader(s) ({exc}); raise n_epochs or "
+                "lower n_outages"
+            ) from None
 
     @property
     def horizon_s(self) -> float:
@@ -125,43 +134,53 @@ class SiteSoakConfig:
         }
 
 
+def _plan_rng(config: SiteSoakConfig):
+    """The generator every draw of the chaos schedule comes from."""
+    return RngStream(config.seed).child("site-chaos-plan")
+
+
+def _draw_outages(config: SiteSoakConfig, rng) -> List[ReaderOutage]:
+    """The schedule's reader deaths: the first draws from ``rng``."""
+    outages: List[ReaderOutage] = []
+    if not config.n_outages:
+        return outages
+    horizon = config.horizon_s
+    perm = [int(r) for r in rng.permutation(config.n_readers)]
+    pitch = (horizon - 2 * config.epoch_s) / (config.n_outages + 1)
+    for k in range(config.n_outages):
+        reader_id = perm[k % config.n_readers]
+        at_s = (k + 1) * pitch + float(rng.uniform(0.0, 0.25 * pitch))
+        downtime = float(
+            rng.uniform(config.downtime_min_s, config.downtime_max_s)
+        )
+        latest_up = horizon - 2 * config.epoch_s
+        downtime = max(config.epoch_s, min(downtime, latest_up - at_s))
+        outages.append(
+            ReaderOutage(
+                reader_id=reader_id,
+                at_s=round(at_s, 9),
+                downtime_s=round(downtime, 9),
+            )
+        )
+    return outages
+
+
 def build_fault_plan(config: SiteSoakConfig) -> SiteFaultPlan:
     """The seeded chaos schedule for one soak run.
 
     Outage *k* hits reader ``perm[k % n_readers]`` around
     ``(k + 1) · horizon / (n_outages + 2)`` with jitter — round-robin
     over a seeded permutation, so deaths spread across the fleet and the
-    same reader's outages sit a fleet-width apart (they can never
-    overlap, which the plan validates anyway).  Downtimes are drawn
-    uniform within the configured bounds and clipped so the rejoin lands
-    at least two epochs before the horizon — every injected death is
-    also an observable rejoin.
+    same reader's outages sit a fleet-width apart.  On a short horizon
+    that gap can be shorter than a downtime, so a reader would die again
+    before it rejoins; :class:`SiteSoakConfig` refuses such configs when
+    it is built.  Downtimes are drawn uniform within the configured
+    bounds and clipped so the rejoin lands at least two epochs before the
+    horizon — every injected death is also an observable rejoin.
     """
-    rng = RngStream(config.seed).child("site-chaos-plan")
+    rng = _plan_rng(config)
     horizon = config.horizon_s
-    outages: List[ReaderOutage] = []
-    if config.n_outages:
-        perm = [int(r) for r in rng.permutation(config.n_readers)]
-        pitch = (horizon - 2 * config.epoch_s) / (config.n_outages + 1)
-        for k in range(config.n_outages):
-            reader_id = perm[k % config.n_readers]
-            at_s = (k + 1) * pitch + float(
-                rng.uniform(0.0, 0.25 * pitch)
-            )
-            downtime = float(
-                rng.uniform(config.downtime_min_s, config.downtime_max_s)
-            )
-            latest_up = horizon - 2 * config.epoch_s
-            downtime = max(
-                config.epoch_s, min(downtime, latest_up - at_s)
-            )
-            outages.append(
-                ReaderOutage(
-                    reader_id=reader_id,
-                    at_s=round(at_s, 9),
-                    downtime_s=round(downtime, 9),
-                )
-            )
+    outages = _draw_outages(config, rng)
     degradations = []
     for _ in range(config.n_degradations):
         reader_id = int(rng.integers(0, config.n_readers))

@@ -28,14 +28,18 @@ seeds:
   compiled event-calendar kernel (:mod:`repro.gen2.calendar`): one C call
   per round draws straight from the engine generator's numpy bit generator,
   so Python-level work is O(rounds) instead of O(slots).  Rounds the kernel
-  cannot express — strategies other than Q-adaptive and FixedQ, frame-level
-  tracing, or a missing C compiler — fall back to the reference walk, which
-  draws from the same generator, so kernel and fallback rounds interleave
-  exactly.
+  cannot express — strategies other than Q-adaptive and FixedQ, rounds with
+  no participants, or a missing C compiler — fall back to the reference
+  walk, which draws from the same generator, so kernel and fallback rounds
+  interleave exactly.
 - ``engine="reference"`` consumes slot outcomes one at a time with one
   ``numpy`` draw per frame; it is the differential-testing oracle (see
   ``tests/gen2/test_calendar_engine.py``) and is the default under
   ``REPRO_REFERENCE=1`` (:mod:`repro.runtime.oracle`).
+
+Tracing sits above both engines: :meth:`InventoryEngine.run_round` wraps
+whichever one settles the round in one ``round`` span, so a trace records
+the same thing whichever engine runs, and tracing never selects one.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ class InventoryLog:
     n_lost: int = 0
     n_rounds: int = 0
     n_adjusts: int = 0
+    n_frames: int = 0
     start_time_s: float = 0.0
     end_time_s: float = 0.0
     truncated: bool = False
@@ -101,6 +106,7 @@ class InventoryLog:
         self.n_lost += other.n_lost
         self.n_rounds += other.n_rounds
         self.n_adjusts += other.n_adjusts
+        self.n_frames += other.n_frames
         self.end_time_s = other.end_time_s
         self.truncated = self.truncated or other.truncated
 
@@ -182,15 +188,44 @@ class InventoryEngine:
         The round ends when all participants have been identified (the real
         reader detects this via a run of empty slots at Q=0; that detection
         time is part of the profile's ``round_overhead_s``), when
-        ``max_duration_s`` elapses, or when the slot cap trips.
+        ``max_duration_s`` elapses, or when the slot cap trips.  Under an
+        enabled tracer the round is one ``round`` span, the same whichever
+        engine settles it.
         """
-        if self.engine == "calendar":
-            return self._run_round_calendar(
-                participant_ids, start_time_s, max_duration_s
-            )
-        return self._run_round_reference(
-            participant_ids, start_time_s, max_duration_s
+        round_index = self._round_counter
+        self._round_counter += 1
+        settle = (
+            self._run_round_calendar
+            if self.engine == "calendar"
+            else self._run_round_reference
         )
+        tracer = get_tracer()
+        if not tracer.enabled:
+            return settle(
+                participant_ids, start_time_s, max_duration_s, round_index
+            )
+        span = tracer.begin(
+            "round",
+            t=start_time_s,
+            category="gen2",
+            round_index=round_index,
+            n_participants=len(participant_ids),
+            startup_s=self.timing.startup_cost,
+        )
+        log = settle(participant_ids, start_time_s, max_duration_s, round_index)
+        tracer.end(
+            span,
+            t=log.end_time_s,
+            n_slots=log.n_slots,
+            n_empty=log.n_empty,
+            n_single=log.n_single,
+            n_collision=log.n_collision,
+            n_adjusts=log.n_adjusts,
+            n_reads=len(log.reads),
+            n_frames=log.n_frames,
+            truncated=log.truncated,
+        )
+        return log
 
     # ------------------------------------------------------------------
     def _run_round_calendar(
@@ -198,6 +233,7 @@ class InventoryEngine:
         participant_ids: Sequence[int],
         start_time_s: float,
         max_duration_s: Optional[float],
+        round_index: int,
     ) -> InventoryLog:
         """Settle the whole round through the compiled calendar kernel.
 
@@ -206,21 +242,19 @@ class InventoryEngine:
         and the generator state afterwards — are bit-identical to
         :meth:`_run_round_reference`.  Rounds the kernel cannot express
         (no compiled kernel, a strategy other than Q-adaptive or FixedQ,
-        frame-detail tracing, or no participants) run the reference walk
-        instead, with an already-created strategy passed through to keep
-        the one-factory-call-per-round contract.
+        or no participants) run the reference walk instead, with an
+        already-created strategy passed through to keep the
+        one-factory-call-per-round contract.
         """
         cal = self._cal
         if cal is None:
             from repro.gen2.calendar import CalendarKernel
 
             cal = self._cal = CalendarKernel()
-        tracer = get_tracer()
-        traced = tracer.enabled
         n = len(participant_ids)
-        if cal.fn is None or n == 0 or (traced and tracer.frame_detail):
+        if cal.fn is None or n == 0:
             return self._run_round_reference(
-                participant_ids, start_time_s, max_duration_s
+                participant_ids, start_time_s, max_duration_s, round_index
             )
 
         strategy = self.strategy_factory()
@@ -233,7 +267,8 @@ class InventoryEngine:
             q_const = 0.0
         else:
             return self._run_round_reference(
-                participant_ids, start_time_s, max_duration_s, strategy
+                participant_ids, start_time_s, max_duration_s, round_index,
+                strategy,
             )
         first_frame = max(1, strategy.start_round(n))
         q0 = first_frame.bit_length() - 1
@@ -244,24 +279,10 @@ class InventoryEngine:
         bit_generator = self.rng.bit_generator
         if cal.bitgen_src is not bit_generator:
             cal.bind_bit_generator(bit_generator)
-        t_startup = cal.t_startup
-
-        round_index = self._round_counter
-        self._round_counter += 1
-        round_span = None
-        if traced:
-            round_span = tracer.begin(
-                "round",
-                t=start_time_s,
-                category="gen2",
-                round_index=round_index,
-                n_participants=n,
-                startup_s=t_startup,
-            )
 
         dpar = cal.dpar
         ipar = cal.ipar
-        dpar[0] = start_time_s + t_startup
+        dpar[0] = start_time_s + cal.t_startup
         dpar[1] = (
             start_time_s + max_duration_s
             if max_duration_s is not None
@@ -303,11 +324,10 @@ class InventoryEngine:
             n_frames,
             truncated,
             n_reads,
-            n_slots,
+            _n_slots,
             n_lost,
         ) = cal.out_i_np.tolist()
-        end_t = cal.out_d[0]
-        log = InventoryLog(start_time_s=start_time_s, end_time_s=end_t)
+        log = InventoryLog(start_time_s=start_time_s, end_time_s=cal.out_d[0])
         log.n_rounds = 1
         log.n_empty = n_empty
         log.n_single = n_single
@@ -315,6 +335,7 @@ class InventoryEngine:
         log.n_duplicate = n_duplicate
         log.n_lost = n_lost
         log.n_adjusts = n_adjusts
+        log.n_frames = n_frames
         log.truncated = bool(truncated)
         if n_reads:
             if type(participant_ids) is list:
@@ -329,19 +350,6 @@ class InventoryEngine:
                     cal.read_time_np[:n_reads].tolist(),
                 )
             ]
-        if round_span is not None:
-            tracer.end(
-                round_span,
-                t=end_t,
-                n_slots=n_slots,
-                n_empty=n_empty,
-                n_single=n_single,
-                n_collision=n_collision,
-                n_adjusts=n_adjusts,
-                n_reads=n_reads,
-                n_frames=n_frames,
-                truncated=log.truncated,
-            )
         return log
 
     # ------------------------------------------------------------------
@@ -350,6 +358,7 @@ class InventoryEngine:
         participant_ids: Sequence[int],
         start_time_s: float,
         max_duration_s: Optional[float],
+        round_index: int,
         strategy: Optional[FrameStrategy] = None,
     ) -> InventoryLog:
         """Sequential slot walk: the original engine, kept as the oracle.
@@ -359,41 +368,6 @@ class InventoryEngine:
         """
         log = InventoryLog(start_time_s=start_time_s, end_time_s=start_time_s)
         log.n_rounds = 1
-        round_index = self._round_counter
-        self._round_counter += 1
-
-        n_frames = 0
-        tracer = get_tracer()
-        traced = tracer.enabled
-        frame_traced = traced and tracer.frame_detail
-        round_span = None
-        if traced:
-            round_span = tracer.begin(
-                "round",
-                t=start_time_s,
-                category="gen2",
-                round_index=round_index,
-                n_participants=len(participant_ids),
-                startup_s=self.timing.startup_cost,
-            )
-
-        def _finish(end_s: float) -> InventoryLog:
-            log.end_time_s = end_s
-            if round_span is not None:
-                tracer.end(
-                    round_span,
-                    t=end_s,
-                    n_slots=log.n_slots,
-                    n_empty=log.n_empty,
-                    n_single=log.n_single,
-                    n_collision=log.n_collision,
-                    n_adjusts=log.n_adjusts,
-                    n_reads=len(log.reads),
-                    n_frames=n_frames,
-                    truncated=log.truncated,
-                )
-            return log
-
         t = start_time_s + self.timing.startup_cost
         deadline = (
             start_time_s + max_duration_s if max_duration_s is not None else None
@@ -403,7 +377,8 @@ class InventoryEngine:
         if ids.size == 0:
             # The reader still pays the start-up cost and probes one slot.
             log.n_empty = 1
-            return _finish(t + self.timing.empty_slot_duration)
+            log.end_time_s = t + self.timing.empty_slot_duration
+            return log
 
         if strategy is None:
             strategy = self.strategy_factory()
@@ -419,7 +394,7 @@ class InventoryEngine:
         t_query = timing.query_duration
 
         while not seen_mask.all():
-            n_frames += 1
+            log.n_frames += 1
             if self.with_replacement:
                 contenders = np.arange(ids.size)
             else:
@@ -431,16 +406,6 @@ class InventoryEngine:
             singles = counts[draws] == 1
             slot_owner[draws[singles]] = contenders[singles]
 
-            frame_span = None
-            if frame_traced:
-                frame_span = tracer.begin(
-                    "frame",
-                    t=t,
-                    category="gen2",
-                    frame_length=int(frame_length),
-                    n_contenders=int(contenders.size),
-                )
-            slots_before = log.n_slots
             adjust_to: Optional[int] = None
             for slot in range(frame_length):
                 if (deadline is not None and t >= deadline) or (
@@ -504,14 +469,8 @@ class InventoryEngine:
                 if seen_mask.all():
                     break
 
-            if frame_span is not None:
-                tracer.end(
-                    frame_span,
-                    t=t,
-                    n_slots=log.n_slots - slots_before,
-                )
             if log.truncated:
-                return _finish(t)
+                break
 
             if adjust_to is not None:
                 frame_length = adjust_to
@@ -523,7 +482,8 @@ class InventoryEngine:
                 )
                 frame_length = max(1, strategy.next_frame(remaining))
 
-        return _finish(t)
+        log.end_time_s = t
+        return log
 
     # ------------------------------------------------------------------
     def run_for_duration(

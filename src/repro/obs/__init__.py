@@ -4,7 +4,7 @@ The subsystem has four parts, designed to be near-zero cost when unused:
 
 - :mod:`repro.obs.tracer` — a span/event tracer clocked on *simulated*
   time (wall-clock annotations on the side).  Instrumentation across the
-  stack (Tagwatch cycles → phases → inventory rounds → slot batches, plus
+  stack (Tagwatch cycles → phases → inventory rounds, plus
   Select/GMM/set-cover/resilience events) writes to the ambient tracer,
   a no-op :class:`~repro.obs.tracer.NullTracer` by default.
 - :mod:`repro.obs.exporters` — deterministic JSONL, Chrome trace-event

@@ -270,8 +270,6 @@ def _analyze(records: Sequence[object]) -> Dict[str, object]:
     }
     t_min: Optional[float] = None
     t_max: Optional[float] = None
-    frames_from_rounds = 0
-    frame_spans = 0
     readers: List[Dict[str, object]] = []
     # Spans indexed by id so the event pass below can walk parent chains.
     # Records arrive in completion order (children close before parents), so
@@ -287,7 +285,7 @@ def _analyze(records: Sequence[object]) -> Dict[str, object]:
             if record.name == "round":
                 counts["rounds"] += 1
                 counts["slots"] += int(record.args.get("n_slots", 0))
-                frames_from_rounds += int(record.args.get("n_frames", 0))
+                counts["frames"] += int(record.args.get("n_frames", 0))
                 # Clamp: a round truncated by ``max_duration_s`` can report
                 # a nominal start-up longer than the span it actually got;
                 # without the clamp the budget lines would sum past the
@@ -298,8 +296,6 @@ def _analyze(records: Sequence[object]) -> Dict[str, object]:
                 )
                 breakdown["round_startup_s"] += startup
                 breakdown["slot_s"] += max(0.0, record.duration_s - startup)
-            elif record.name == "frame":
-                frame_spans += 1
             elif record.name == "cycle":
                 counts["cycles"] += 1
             elif record.name == "site_reader":
@@ -374,10 +370,6 @@ def _analyze(records: Sequence[object]) -> Dict[str, object]:
                 "client.session_recover",
             ):
                 counts["session_restores"] += 1
-    # Round spans carry their frame count since traces may omit per-frame
-    # spans (Tracer(detail="round")); fall back to counting frame spans for
-    # traces recorded before that argument existed.
-    counts["frames"] = max(frames_from_rounds, frame_spans)
     sim_s = 0.0 if t_min is None or t_max is None else t_max - t_min
     return {
         "breakdown": breakdown,
@@ -449,12 +441,9 @@ def run_bench(
         raise ValueError("flight mode builds its own recorder")
     if not flight and tracer is None:
         ambient = get_tracer()
-        # A private tracer only feeds _analyze, which reads aggregate round
-        # args; skipping per-frame spans keeps tracing overhead out of the
-        # measurement.
-        tracer = ambient if ambient.enabled else Tracer(detail="round")
+        tracer = ambient if ambient.enabled else Tracer()
     for _ in range(warmup):
-        with use_tracer(Tracer(detail="round")):
+        with use_tracer(Tracer()):
             workload_fn(scale)
     wall_s: Optional[float] = None
     for _ in range(repeats):
@@ -467,7 +456,6 @@ def run_bench(
             evicted: List[object] = []
             tracer = FlightRecorder(
                 capacity_cycles=flight_capacity,
-                detail="round",
                 on_evict=evicted.extend,
             )
         start_index = len(tracer.records)

@@ -12,8 +12,8 @@ Because records land in completion order and a top-level (depth-0) span
 closes only after all of its children, a "cycle" is a contiguous slice of
 ``records`` ending at the depth-0 span — so eviction is a single
 ``del records[:cut]``.  Memory is bounded by the capacity times the
-per-cycle record volume; with ``detail="round"`` (the default here, as in
-the bench harness) that is a few dozen records per cycle.
+per-cycle record volume, a few dozen records per cycle (the finest span
+is one inventory round).
 
 Eviction is observable through ``on_evict`` (the bench harness collects
 evicted records so its analysis still covers the whole run) and through
@@ -46,12 +46,11 @@ class FlightRecorder(Tracer):
         self,
         capacity_cycles: int = DEFAULT_CAPACITY_CYCLES,
         wall_clock: Callable[[], float] = time.perf_counter,
-        detail: str = "round",
         on_evict: Optional[Callable[[List[Record]], None]] = None,
     ) -> None:
         if capacity_cycles < 1:
             raise ValueError("flight recorder needs capacity >= 1 cycle")
-        super().__init__(wall_clock=wall_clock, detail=detail)
+        super().__init__(wall_clock=wall_clock)
         self.capacity_cycles = capacity_cycles
         self.on_evict = on_evict
         #: ``records`` index one past each retained depth-0 span, oldest

@@ -5,8 +5,8 @@ Gen2 contention and by how Phase I/Phase II cycles are scheduled.  This
 module makes that time budget visible.  A :class:`Tracer` records
 
 - **spans** — nested intervals on the simulated clock (Tagwatch cycle →
-  Phase I / Phase II → inventory round → slot batch), each annotated with
-  the wall-clock interval the simulation spent producing it, and
+  Phase I / Phase II → inventory round), each annotated with the
+  wall-clock interval the simulation spent producing it, and
 - **events** — instant points (a ``Select`` issued, a GMM classify verdict,
   a set-cover iteration, a client retry/backoff/circuit transition).
 
@@ -103,29 +103,23 @@ class Tracer:
     span is recorded when it *ends*, so children precede their parents).
     That order is a pure function of the simulated execution, which is what
     makes same-seed traces byte-identical after export.
+
+    The finest span is one inventory ``round``; its ``n_frames`` and
+    ``n_slots`` args count what happened inside it.  Tracing observes a run
+    and never changes which code runs: both inventory engines emit the
+    same records.
     """
 
     #: Instrumentation sites check this before doing any per-item work.
     enabled: bool = True
 
-    #: Whether per-frame spans are wanted.  Frame spans dominate trace
-    #: volume (and tracing overhead) in inventory-heavy runs; aggregate
-    #: users like the bench harness ask for ``detail="round"`` and rely on
-    #: the ``n_frames``/``n_slots`` args of the round span instead.
-    frame_detail: bool = True
-
     def __init__(
-        self,
-        wall_clock: Callable[[], float] = time.perf_counter,
-        detail: str = "frame",
+        self, wall_clock: Callable[[], float] = time.perf_counter
     ) -> None:
-        if detail not in ("frame", "round"):
-            raise ValueError(f"detail must be 'frame' or 'round', got {detail!r}")
         self.records: List[Record] = []
         self._stack: List[Span] = []
         self._next_id = 1
         self._wall = wall_clock
-        self.frame_detail = detail == "frame"
 
     # ------------------------------------------------------------------
     def _fresh_id(self) -> int:
@@ -280,7 +274,7 @@ _SHARED_NULL_SPAN = _NullSpan()
 class NullTracer(Tracer):
     """A tracer whose every operation is a no-op (near-zero overhead).
 
-    Instrumentation sites additionally gate per-item work (per-frame spans,
+    Instrumentation sites additionally gate per-item work (per-round spans,
     per-iteration events) on :attr:`enabled`, so a disabled run's hot loops
     do no tracing work at all beyond one attribute check.
     """

@@ -96,9 +96,15 @@ def differential(
     :class:`~repro.site.supervisor.SiteChaosReport`).  The fast leg runs
     as given; the reference leg runs sequentially inside
     :func:`reference_mode` and renders ``canonical()`` through stdlib JSON.
+    The reference leg runs with tracing and telemetry off, so the ambient
+    tracer and metrics registry describe the fast leg alone.
     """
+    # Imported here so that, at import time, this module needs only the
+    # standard library and every layer can import it without a cycle.
+    from repro.obs import use_metrics, use_tracer
+
     fast = run(workers).canonical_bytes()
-    with reference_mode():
+    with reference_mode(), use_tracer(None), use_metrics(None):
         reference = run(1)
     expected = (
         json.dumps(reference.canonical(), indent=2, sort_keys=True) + "\n"

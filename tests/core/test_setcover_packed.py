@@ -50,7 +50,7 @@ def cover_instances(draw, min_size=2, max_size=24):
 
 
 def _run_traced(solver, candidates, targets, n, seed):
-    tracer = Tracer(detail="round")
+    tracer = Tracer()
     with use_tracer(tracer):
         selection = solver(candidates, targets, n, MODEL, rng=seed)
     events = [
@@ -88,7 +88,7 @@ def test_lazy_greedy_matches_reference(instance, seed):
     # the same stream position afterwards.
     gen_a = np.random.default_rng(seed)
     gen_b = np.random.default_rng(seed)
-    with use_tracer(Tracer(detail="round")):
+    with use_tracer(Tracer()):
         greedy_cover(candidates, targets, n, MODEL, rng=gen_a)
         greedy_cover_reference(candidates, targets, n, MODEL, rng=gen_b)
     assert gen_a.integers(0, 2**32, size=4).tolist() == gen_b.integers(

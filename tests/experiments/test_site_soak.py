@@ -114,6 +114,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             site_soak.SiteSoakConfig(downtime_min_s=2.0, downtime_max_s=1.0)
 
+    def test_outages_that_cannot_fit_are_refused_up_front(self):
+        # Eight epochs are too short for ten outages on six readers: one
+        # reader's next death would land before its rejoin.
+        with pytest.raises(ValueError, match="n_outages=10.*n_epochs=8"):
+            site_soak.SiteSoakConfig(n_epochs=8)
+        # One epoch leaves no room before the horizon at all.
+        with pytest.raises(ValueError, match="n_epochs=1"):
+            site_soak.SiteSoakConfig(n_epochs=1, n_outages=1)
+        assert site_soak.SiteSoakConfig(n_epochs=1, n_outages=0).n_epochs == 1
+
     def test_staleness_bound_tracks_the_worst_outage(self):
         config = site_soak.SiteSoakConfig()
         assert config.staleness_bound_s == pytest.approx(

@@ -81,6 +81,7 @@ def _log_signature(log):
         log.n_lost,
         log.n_rounds,
         log.n_adjusts,
+        log.n_frames,
         log.start_time_s,
         log.end_time_s,
         log.truncated,
@@ -298,25 +299,39 @@ def test_strategy_fallback_rounds_interleave_exactly(
     assert calls.count("reference") == 6
 
 
+def _trace_signature(tracer):
+    """Every span's name, ids, depth, simulated times and args (the
+    engines emit no events)."""
+    return [
+        (s.name, s.span_id, s.parent_id, s.depth, s.category,
+         s.start_s, s.end_s, s.args)
+        for s in tracer.records
+    ]
+
+
 @pytest.mark.parametrize("loss", [0.0, 0.3])
-def test_frame_detail_rounds_interleave_exactly(monkeypatch, loss):
-    """Frame-detail tracing runs the reference walk, mid-stream."""
+def test_traced_rounds_stay_on_kernel_and_trace_alike(monkeypatch, loss):
+    """Tracing never picks the engine, and both engines trace the same."""
     calls = _count_fallbacks(monkeypatch)
-
-    def frame_traced_on_odd_rounds(i):
-        return use_tracer(Tracer(detail="frame") if i % 2 else None)
-
-    signatures = {}
+    signatures, traces = {}, {}
     for name in ENGINES:
+        tracer = Tracer()
+
+        def traced_on_odd_rounds(i):
+            return use_tracer(tracer if i % 2 else None)
+
         engine = _engine(
             name, lambda: QAdaptive(initial_q=3), np.random.default_rng(5),
             loss=loss,
         )
         signatures[name] = _round_signatures(
-            engine, 31, rounds=6, before=frame_traced_on_odd_rounds
+            engine, 31, rounds=6, before=traced_on_odd_rounds
         )
+        traces[name] = _trace_signature(tracer)
     assert signatures["calendar"] == signatures["reference"]
-    assert calls.count("calendar") == 3
+    assert calls.count("calendar") == 0
+    assert [record[0] for record in traces["calendar"]] == ["round"] * 3
+    assert traces["calendar"] == traces["reference"]
 
 
 def test_without_kernel_calendar_runs_the_reference_walk(monkeypatch):
@@ -373,6 +388,9 @@ def _slots_deadline(slots):
          with_replacement=True, loss=0.5, slots=1)
 @example(kind="qadaptive", q=15, n_tags=0, seed=4, bit_generator="sfc64",
          with_replacement=True, loss=0.99, slots=1)
+# Enough contenders that collisions push Q-adaptive past its upper clamp.
+@example(kind="qadaptive", q=15, n_tags=20000, seed=0, bit_generator="pcg64",
+         with_replacement=True, loss=0.0, slots=50)
 def test_kernel_boundary_matches_reference(
     kind, q, n_tags, seed, bit_generator, with_replacement, loss, slots
 ):

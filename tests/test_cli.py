@@ -65,7 +65,8 @@ class TestObservabilityWiring:
         document = json.loads(path.read_text())
         assert validate_chrome_trace(document) == []
         names = {e["name"] for e in document["traceEvents"]}
-        assert {"round", "frame", "inventory_round"} <= names
+        assert {"round", "inventory_round"} <= names
+        assert "frame" not in names
 
     def test_figure_trace_out_jsonl_and_determinism(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -78,6 +79,31 @@ class TestObservabilityWiring:
                 == 0
             )
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["site", "--readers", "3", "--tags", "60", "--duration", "0.1"],
+            ["site", "--chaos", "--readers", "3", "--tags", "24",
+             "--epochs", "12", "--outages", "1", "--mobile", "2",
+             "--seed", "11"],
+        ],
+        ids=["site", "chaos"],
+    )
+    def test_differential_leaves_trace_and_metrics_alone(
+        self, argv, tmp_path, capsys
+    ):
+        """The reference leg of --check-differential records nothing."""
+        outputs = {}
+        for mode, extra in (("plain", []), ("checked", ["--check-differential"])):
+            trace = tmp_path / f"{mode}.trace.json"
+            metrics = tmp_path / f"{mode}.metrics.json"
+            assert main(
+                argv + extra
+                + ["--trace-out", str(trace), "--metrics-out", str(metrics)]
+            ) == 0
+            outputs[mode] = (trace.read_bytes(), metrics.read_bytes())
+        assert outputs["checked"] == outputs["plain"]
 
     def test_demo_metrics_out_json(self, tmp_path, capsys):
         import json
